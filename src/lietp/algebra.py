@@ -5,15 +5,27 @@ pair order; coefficients are Fractions and zeros are never stored, so
 equality is structural equality.
 """
 
+import numbers
 from fractions import Fraction
 
-from .errors import OwnerMismatch, UnknownElement
+from .errors import OwnerMismatch, ParseError, UnknownElement
 
 
-def _as_fraction(v):
+def as_rational(v):
+    """v as a Fraction, from a Rational such as an int, or a "p/q" string.
+
+    Floats are refused because they are not exact, and booleans because a
+    JSON true is not a number.
+    """
     if isinstance(v, Fraction):
         return v
-    return Fraction(v)
+    if isinstance(v, bool) or not isinstance(v, (numbers.Rational, str)):
+        raise ParseError("rational values must be integers or 'p/q' strings, "
+                         "got %r" % (v,))
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError("bad rational value %r: %s" % (v, exc))
 
 
 class IncidenceElement(object):
@@ -61,7 +73,7 @@ class IncidenceElement(object):
         return IncidenceElement(self.owner, {k: -c for k, c in self.coeffs.items()})
 
     def scale(self, k):
-        k = _as_fraction(k)
+        k = as_rational(k)
         if not k:
             return IncidenceElement(self.owner, {})
         return IncidenceElement(self.owner, {i: k * c for i, c in self.coeffs.items()})
@@ -97,7 +109,7 @@ def element(p, mapping):
         if k is None:
             p.index(x), p.index(y)
             raise UnknownElement("(%r, %r) is not a comparable pair" % (x, y))
-        v = _as_fraction(v)
+        v = as_rational(v)
         if v:
             coeffs[k] = coeffs.get(k, 0) + v
             if not coeffs[k]:
@@ -212,7 +224,11 @@ def to_records(f):
 def from_records(p, records):
     coeffs = {}
     for rec in records:
-        coeffs[(rec["from"], rec["to"])] = (
-            coeffs.get((rec["from"], rec["to"]), Fraction(0))
-            + Fraction(rec["numerator"], rec["denominator"]))
+        num, den = rec["numerator"], rec["denominator"]
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Rational)
+               for v in (num, den)) or not den:
+            raise ParseError("record %r needs an integer numerator and a "
+                             "nonzero integer denominator" % (rec,))
+        key = (rec["from"], rec["to"])
+        coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(num, den)
     return element(p, coeffs)

@@ -28,21 +28,14 @@ def _load_poset(path):
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
     except ValueError as exc:
         raise ParseError("malformed JSON in %s: %s" % (path, exc))
-
-
-def _as_fraction(v):
-    # ints and "p/q" strings only; floats would break exactness
-    if isinstance(v, float):
-        raise ParseError("rational values must be integers or 'p/q' strings, got %r" % v)
-    try:
-        return Fraction(v)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("bad rational value %r: %s" % (v, exc))
+    if not isinstance(data, dict):
+        raise ParseError("%s must hold a JSON object" % path)
+    return data
 
 
 def _poset_summary(p):
@@ -88,7 +81,7 @@ def _pair_rows(data, field):
     rows = {}
     for rec in data.get(field, []):
         try:
-            rows[(rec["x"], rec["y"])] = _as_fraction(rec["value"])
+            rows[(rec["x"], rec["y"])] = algebra.as_rational(rec["value"])
         except (KeyError, TypeError) as exc:
             raise ParseError("bad %s entry %r: %s" % (field, rec, exc))
     return rows

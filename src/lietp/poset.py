@@ -133,7 +133,7 @@ def parse_poset(text):
     declares one cover pair; `#` starts a comment.
     """
     labels = None
-    covers = []
+    covers = {}   # insertion-ordered set of cover pairs
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -153,10 +153,12 @@ def parse_poset(text):
             raise ParseError("line %d: expected 'a < b'" % lineno)
         if x not in labels or y not in labels:
             raise ParseError("line %d: unknown label in %r" % (lineno, line))
-        covers.append((x, y))
+        if (x, y) in covers:
+            raise ParseError("line %d: repeated cover %r" % (lineno, line))
+        covers[(x, y)] = None
     if labels is None:
         raise ParseError("missing 'elements:' header")
-    return build_poset(labels, covers)
+    return build_poset(labels, list(covers))
 
 
 def min_max(p):

@@ -7,7 +7,7 @@ walk formulas) live here so the tests never trust the code path under test.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 from lietp import algebra, poset, tpstruct
 from lietp.errors import LietpError
@@ -224,6 +224,79 @@ def brute_pair_classes(p):
     classes = [sorted(cls, key=p.pair_key) for cls in grouped.values()]
     classes.sort(key=lambda cls: p.pair_key(cls[0]))
     return classes
+
+
+# --- brute-force transposed Poisson verifier ---------------------------------
+
+class BruteForce(object):
+    """The transposed Poisson identities on triples of basis indices,
+    computed with Fractions and the algebra's own commutator."""
+
+    def __init__(self, prod):
+        self.prod = prod
+        self.units = [algebra.unit(prod.owner, *pr) for pr in prod.owner.pairs]
+        self._times = {}
+        self._brackets = {}
+
+    def times(self, i, j):
+        if (i, j) not in self._times:
+            self._times[(i, j)] = self.prod.product(self.units[i], self.units[j])
+        return self._times[(i, j)]
+
+    def bracket(self, i, j):
+        if (i, j) not in self._brackets:
+            self._brackets[(i, j)] = algebra.commutator(self.units[i],
+                                                        self.units[j])
+        return self._brackets[(i, j)]
+
+    def holds(self, check, triple):
+        """(a.b).c = a.(b.c) for "associative", 2 z.[x,y] = [z.x, y] +
+        [x, z.y] for "transposed_leibniz"."""
+        a, b, c = triple
+        mult, u = self.prod.product, self.units
+        if check == "associative":
+            return mult(self.times(a, b), u[c]) == mult(u[a], self.times(b, c))
+        comm = algebra.commutator
+        return (mult(u[a], self.bracket(b, c)).scale(2)
+                == comm(self.times(a, b), u[c]) + comm(u[b], self.times(a, c)))
+
+
+def reference_verify(prod):
+    """verify_tp's report by brute force: every basis triple (a, b, c) for
+    associativity and every (z, x, y) with x < y for the transposed Leibniz
+    rule, first failure in index order."""
+    brute = BruteForce(prod)
+    B = len(prod.owner.pairs)
+    triples = {
+        "associative": product(range(B), repeat=3),
+        "transposed_leibniz": ((z, x, y) for z in range(B) for x in range(B)
+                               for y in range(x + 1, B)),
+    }
+    report = {"associative": True, "transposed_leibniz": True,
+              "witness": None}
+    for check, candidates in triples.items():
+        for triple in candidates:
+            if not brute.holds(check, triple):
+                report[check] = False
+                if report["witness"] is None:
+                    report["witness"] = {"check": check, "triple": tuple(
+                        prod.owner.pairs[i] for i in triple)}
+                break
+    return report
+
+
+def corrupted(prod, rng):
+    """Copy of the table with 1 added to one coefficient, at a random basis
+    vector, of one of its products."""
+    p = prod.owner
+    table = {key: dict(elem.coeffs) for key, elem in prod.table.items()}
+    coeffs = table[rng.choice(sorted(table))]
+    r = rng.randrange(len(p.pairs))
+    coeffs[r] = coeffs.get(r, 0) + 1
+    return tpstruct.tp_from_table(p, {
+        (p.pairs[i], p.pairs[j]): algebra.element(
+            p, {p.pairs[k]: v for k, v in c.items()})
+        for (i, j), c in table.items()})
 
 
 def same_components(p, dec, mu, nu, lam):

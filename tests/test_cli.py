@@ -126,9 +126,8 @@ def test_tp_build_verify_decompose_roundtrip(capsys, data_dir, tmp_path):
 
     rc, rep = run_cli(capsys, "tp", "build", vee, str(cfile))
     assert rc == 0
-    assert rep["verify"] == {"commutative": True, "associative": True,
-                             "transposed_leibniz": True, "witness": None,
-                             "halfder_agreement": True, "sampled": False}
+    assert rep["verify"] == {"associative": True, "transposed_leibniz": True,
+                             "witness": None}
 
     tfile = tmp_path / "table.json"
     tfile.write_text(json.dumps({"table": rep["table"]}))
@@ -195,6 +194,63 @@ def test_tp_verify_malformed_table(capsys, data_dir, tmp_path):
                       str(tfile))
     assert rc == 1
     assert rep["error"]["type"] == "ParseError"
+
+
+def _rejected(capsys, *argv):
+    rc, rep = run_cli(capsys, *argv)
+    assert rc == 1
+    assert set(rep) == {"command", "error"}
+    return rep["error"]
+
+
+def test_tp_rejects_non_object_data_file(capsys, data_dir, tmp_path):
+    dfile = tmp_path / "data.json"
+    dfile.write_text("[]")
+    for mode in ("build", "verify", "decompose", "normalize"):
+        err = _rejected(capsys, "tp", mode, str(data_dir / "vee.poset"),
+                        str(dfile))
+        assert err["type"] == "ParseError"
+
+
+def test_tp_rejects_zero_denominators(capsys, data_dir, tmp_path):
+    vee = str(data_dir / "vee.poset")
+    comps = tmp_path / "components.json"
+    comps.write_text(json.dumps(
+        {"nu": [{"x": "1", "y": "2", "value": "1/0"}]}))
+    assert _rejected(capsys, "tp", "build", vee, str(comps))["type"] == (
+        "ParseError")
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"table": [
+        {"left": {"from": "1", "to": "1"}, "right": {"from": "1", "to": "1"},
+         "product": [{"from": "1", "to": "2", "numerator": 1,
+                      "denominator": 0}]}]}))
+    assert _rejected(capsys, "tp", "verify", vee, str(table))["type"] == (
+        "ParseError")
+
+
+def test_tp_rejects_json_booleans_as_rationals(capsys, data_dir, tmp_path):
+    vee = str(data_dir / "vee.poset")
+    for flag in (True, False):
+        comps = tmp_path / "components.json"
+        comps.write_text(json.dumps(
+            {"nu": [{"x": "1", "y": "2", "value": flag}]}))
+        assert _rejected(capsys, "tp", "build", vee, str(comps))["type"] == (
+            "ParseError")
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"table": [
+        {"left": {"from": "1", "to": "1"}, "right": {"from": "1", "to": "1"},
+         "product": [{"from": "1", "to": "2", "numerator": True,
+                      "denominator": 1}]}]}))
+    assert _rejected(capsys, "tp", "verify", vee, str(table))["type"] == (
+        "ParseError")
+
+
+def test_poset_file_rejects_repeated_cover(capsys, tmp_path):
+    pfile = tmp_path / "dup.poset"
+    pfile.write_text("elements: 1 2 3\n1 < 2\n1 < 3\n1 < 2\n")
+    err = _rejected(capsys, "analyze", str(pfile))
+    assert err == {"type": "ParseError",
+                   "detail": "line 4: repeated cover '1 < 2'"}
 
 
 def test_examples_pass(capsys):

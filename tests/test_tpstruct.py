@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chain, full_catalog, same_components
+from helpers import (BruteForce, chain, corrupted, full_catalog,
+                     reference_verify, same_components)
 from lietp.algebra import (commutator, diag_unit, element, identity,
                            minmax_pairs, unit)
 from lietp.errors import (MuNotAssociative, NotCentralInCommutator,
@@ -212,7 +214,6 @@ def test_lambda_poisson_compatibility_characterization(vee):
             # associativity can break on an incompatible sum
             assert report["associative"] is False
             assert report["transposed_leibniz"] is True
-            assert report["halfder_agreement"] is True
 
 
 def test_incompatible_lambda_poisson_witness(chain2):
@@ -301,7 +302,6 @@ def test_non_central_nu_table_fails_with_witness(chain3):
     assert report["witness"] == {
         "check": "transposed_leibniz",
         "triple": (("1", "1"), ("1", "1"), ("2", "3"))}
-    assert report["halfder_agreement"] is True
 
 
 def test_nu_element_must_be_central(chain3):
@@ -309,25 +309,59 @@ def test_nu_element_must_be_central(chain3):
         NuElement(chain3, {("1", "2"): 1})
 
 
-# --- verify_tp sampling and agreement ----------------------------------------
+# --- verify_tp: complete and exact at every size ------------------------------
 
-def test_verify_large_poset_is_sampled():
+def test_verify_is_complete_and_exact_above_forty_pairs():
     p = chain(9)
-    assert len(p.pairs) > 40
-    report = verify_tp(random_tp(p, seed=3))
-    assert report["sampled"] is True
-    assert tp_passes(report)
+    assert len(p.pairs) == 45
+    good = random_tp(p, seed=3)
+    assert verify_tp(good) == {"associative": True, "transposed_leibniz": True,
+                               "witness": None}
+    bad = corrupted(good, random.Random(0))
+    expected = {"associative": False, "transposed_leibniz": False,
+                "witness": {"check": "associative",
+                            "triple": (("1", "1"), ("1", "1"), ("4", "4"))}}
+    assert verify_tp(bad) == expected == reference_verify(bad)
 
 
-def test_verify_full_mode_flag(vee):
-    report = verify_tp(random_tp(vee, seed=0))
-    assert report["sampled"] is False
+def test_verify_takes_only_the_product(vee):
+    assert list(inspect.signature(verify_tp).parameters) == ["prod"]
+    assert set(verify_tp(random_tp(vee, seed=0))) == {
+        "associative", "transposed_leibniz", "witness"}
 
 
-def test_halfder_agreement_field(zigzag):
-    lam = LambdaMap(zigzag, {("1", "3"): 1})
-    report = verify_tp(lambda_structure(lam, "1"))
-    assert report["transposed_leibniz"] and report["halfder_agreement"]
+def test_verify_rejects_every_one_coefficient_corruption():
+    # a nu-only table on chain-12 (B = 78) has three products, so most
+    # corruptions break the axioms on a handful of triples only
+    p = chain(12)
+    good = random_tp(p, seed=9)
+    assert tp_passes(verify_tp(good))
+    for k in range(30):
+        bad = corrupted(good, random.Random(k))
+        report = verify_tp(bad)
+        assert not tp_passes(report)
+        witness = report["witness"]
+        triple = [p.pair_index[pr] for pr in witness["triple"]]
+        assert not BruteForce(bad).holds(witness["check"], triple)
+        with pytest.raises(NotTransposedPoisson):
+            decompose_tp(bad, "1")
+
+
+def test_verify_matches_brute_force_on_catalog():
+    kinds = set()
+    for k, p in enumerate(CATALOG):
+        rng = random.Random(k)
+        good = random_tp(p, seed=k)
+        tables = [good]
+        if good.table:
+            tables += [corrupted(good, rng), corrupted(good, rng)]
+        for prod in tables:
+            report = verify_tp(prod)
+            assert report == reference_verify(prod)
+            assert report["transposed_leibniz"] == all(
+                is_half_derivation(prod.left_mult(pr))[0] for pr in p.pairs)
+            kinds.add(report["witness"] and report["witness"]["check"])
+    assert kinds == {None, "associative", "transposed_leibniz"}
 
 
 # --- random generation, decomposition, normalization -------------------------
