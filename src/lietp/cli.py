@@ -115,6 +115,8 @@ def _resolve_u0(p, flag, data=None):
         u0 = data.get("u0")
     if u0 is None:
         u0 = p.elements[0]
+    if not isinstance(u0, str):
+        raise ParseError("u0 must be an element label, got %r" % (u0,))
     p.index(u0)
     return u0
 

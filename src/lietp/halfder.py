@@ -114,16 +114,14 @@ def apply(op, f):
 
 
 def unit_brackets(p):
-    """Structure constants of the Lie bracket on basis pairs, memoized per poset.
+    """Structure constants of the Lie bracket on basis pairs.
 
     Returns {(i, j): {k: integer coefficient}} for [b_i, b_j], storing only
-    nonzero brackets: [e_ab, e_cd] = (b=c) e_ad - (d=a) e_cb.
+    nonzero brackets: [e_ab, e_cd] = (b=c) e_ad - (d=a) e_cb.  The checkers
+    below compute it once per poset through Poset.memo.
     """
-    cache = getattr(p, "_unit_bracket_cache", None)
-    if cache is not None:
-        return cache
     pairs, pidx = p.pairs, p.pair_index
-    cache = {}
+    brackets = {}
     for i, (a, b) in enumerate(pairs):
         for j, (c, d) in enumerate(pairs):
             if i == j:
@@ -136,9 +134,8 @@ def unit_brackets(p):
                 res[k] = res.get(k, 0) - 1
             res = {k: v for k, v in res.items() if v}
             if res:
-                cache[(i, j)] = res
-    p._unit_bracket_cache = cache
-    return cache
+                brackets[(i, j)] = res
+    return brackets
 
 
 def _comm_with_unit(p, coeffs, unit_pair):
@@ -167,7 +164,7 @@ def is_half_derivation(op):
     pairs = p.pairs
     B = len(pairs)
     cols = op.columns
-    brackets = unit_brackets(p)
+    brackets = p.memo("unit_brackets", unit_brackets)
     nonzero = {j for j in range(B) if cols[j]}
     for i in range(B):
         for j in range(i + 1, B):
@@ -504,7 +501,7 @@ def half_derivation_space(p, cap=DEFAULT_ORACLE_CAP):
     B = len(p.pairs)
     if B * B > cap:
         raise TooLarge("system has %d unknowns, cap is %d" % (B * B, cap))
-    brackets = unit_brackets(p)
+    brackets = p.memo("unit_brackets", unit_brackets)
     pivots = {}
     for i in range(B):
         for j in range(i + 1, B):

@@ -27,18 +27,26 @@ class Poset(object):
         self.pairs = sorted(self._leq, key=self.pair_key)
         self.pair_index = {pr: k for k, pr in enumerate(self.pairs)}
         self.strict_pairs = [(x, y) for (x, y) in self.pairs if x != y]
-        cover_set = set(self.covers)
-        self.adjacency = {x: [] for x in self.elements}
-        for x, y in self.covers:
-            self.adjacency[x].append(y)
-            self.adjacency[y].append(x)
-        for x in self.elements:
-            self.adjacency[x].sort(key=self._idx.__getitem__)
-        self._cover_set = cover_set
-        self._mins = [x for x in self.elements
-                      if not any(self.less(z, x) for z in self.elements)]
-        self._maxs = [x for x in self.elements
-                      if not any(self.less(x, z) for z in self.elements)]
+        self._cover_set = set(self.covers)
+        upper = _successors(self.elements, self.covers)
+        lower = _successors(self.elements, [(y, x) for x, y in self.covers])
+        self.adjacency = {x: sorted(lower[x] + upper[x], key=self._idx.__getitem__)
+                          for x in self.elements}
+        self._mins = [x for x in self.elements if not lower[x]]
+        self._maxs = [x for x in self.elements if not upper[x]]
+        self._memo = {}
+
+    def memo(self, key, compute):
+        """compute(self), computed on first use and kept under key.
+
+        The poset never changes, so neither does the value; callers store
+        only values they never mutate and hand out copies.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute(self)
+            return value
 
     def index(self, x):
         try:
@@ -65,18 +73,31 @@ class Poset(object):
         return "Poset(%r)" % (self.elements,)
 
 
+def _successors(elements, pairs):
+    """{x: [y for each pair (x, y)]}, in the order of the pairs."""
+    succ = {x: [] for x in elements}
+    for x, y in pairs:
+        succ[x].append(y)
+    return succ
+
+
 def closure(pairs, elements):
-    """Reflexive-transitive closure as a set of (x, y) pairs, x <= y."""
-    rel = {(x, x) for x in elements}
-    rel.update(pairs)
-    grown = True
-    while grown:
-        grown = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    grown = True
+    """Reflexive-transitive closure as a set of (x, y) pairs, x <= y.
+
+    One depth-first search from each element along the given pairs, whose
+    labels must all be elements: O(n·E) for n elements and E pairs.
+    """
+    succ = _successors(elements, pairs)
+    rel = set()
+    for x in elements:
+        seen = {x}
+        stack = [x]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        rel.update((x, y) for y in seen)
     return rel
 
 
@@ -92,19 +113,18 @@ def build_poset(labels, cover_pairs):
             raise UnknownElement("cover pair (%r, %r) uses an unknown label" % (x, y))
         if x == y:
             raise CycleInOrder("reflexive pair (%r, %r) is not a strict cover" % (x, y))
-    leq = closure(cover_pairs, labels)
-    for x, y in leq:
-        if x != y and (y, x) in leq:
+    p = Poset(labels, closure(cover_pairs, labels), set(cover_pairs))
+    # the first of the canonically sorted pairs that is comparable both ways
+    for x, y in p.strict_pairs:
+        if p.leq(y, x):
             raise CycleInOrder("%r and %r are comparable both ways" % (x, y))
-    # recompute the covers of the closed relation; the input must match
-    strict = {(x, y) for (x, y) in leq if x != y}
-    recovered = {(x, y) for (x, y) in strict
-                 if not any((x, z) in strict and (z, y) in strict for z in labels)}
-    given = set(cover_pairs)
-    if given != recovered:
-        extra = sorted(given - recovered, key=lambda pr: (labels.index(pr[0]), labels.index(pr[1])))
+    # the input must be exactly the covers of its closure: (x, y) is not a
+    # cover iff another upper neighbour z of x lies below y
+    upper = _successors(labels, p.covers)
+    extra = [(x, y) for x, y in p.covers
+             if any(z != y and p.leq(z, y) for z in upper[x])]
+    if extra:
         raise RedundantCover("input pairs %s are not cover edges after closure" % (extra,))
-    p = Poset(labels, leq, recovered)
     seen = _component_of(p, labels[0], None)
     if len(seen) != len(labels):
         raise NotConnected("cover graph is disconnected")
@@ -310,8 +330,21 @@ class PairClassPartition(object):
 
 
 def pair_classes(p):
-    pairs = p.strict_pairs
-    parent = {pr: pr for pr in pairs}
+    """Finest partition of the strict pairs that is constant on chains and
+    on the cover edges of each cycle.
+
+    (a) Chains, through covers: (x, y) is joined to (x, z) for every cover
+    x ⋖ z with z < y, and a ⋖ b to b ⋖ c for every two consecutive covers.
+    Each such join lies on a chain, and refining any chain to covers
+    c0 ⋖ ... ⋖ ck links each (ci, cj) to (ci, ci+1) and those to each
+    other, so this is the same partition as joining every two pairs of a
+    common chain, in O(P·deg) instead of O(P²) for P strict pairs.
+    (b) Cycles: the cover edges of each biconnected block of more than one
+    edge are joined.
+    """
+    pidx, leq = p.pair_index, p._leq
+    upper = _successors(p.elements, p.covers)
+    parent = list(range(len(p.pairs)))
 
     def find(a):
         while parent[a] != a:
@@ -324,34 +357,45 @@ def pair_classes(p):
         if ra != rb:
             parent[ra] = rb
 
-    # (a) same-chain identification
-    for i, pq in enumerate(pairs):
-        for uv in pairs[i + 1:]:
-            labels = set(pq) | set(uv)
-            if all(p.leq(a, b) or p.leq(b, a) for a in labels for b in labels):
-                union(pq, uv)
+    # (a) chains, through covers
+    for x, y in p.strict_pairs:
+        k = pidx[(x, y)]
+        for z in upper[x]:
+            if z != y and (z, y) in leq:
+                union(k, pidx[(x, z)])
+    for a, b in p.covers:
+        k = pidx[(a, b)]
+        for c in upper[b]:
+            union(k, pidx[(b, c)])
     # (b) cover edges sharing a non-bridge biconnected block
-    blocks, _bridges = blocks_and_bridges(p)
-    for block in blocks:
-        if len(block) > 1:
-            edges = sorted(block, key=p.pair_key)
-            for e in edges[1:]:
-                union(edges[0], e)
+    cycle_blocks, _extreme = _cover_graph_data(p)
+    for edges in cycle_blocks:
+        for e in edges[1:]:
+            union(pidx[edges[0]], pidx[e])
 
     grouped = {}
-    for pr in pairs:
-        grouped.setdefault(find(pr), []).append(pr)
-    classes = [sorted(cls, key=p.pair_key) for cls in grouped.values()]
-    classes.sort(key=lambda cls: p.pair_key(cls[0]))
-    return PairClassPartition(p, classes)
+    for pr in p.strict_pairs:
+        grouped.setdefault(find(pidx[pr]), []).append(pr)
+    # strict_pairs is canonically sorted, so each class is, and classes
+    # come out ordered by their first pair
+    return PairClassPartition(p, list(grouped.values()))
+
+
+def _cover_graph_data(p):
+    """From one blocks_and_bridges(p) per poset: the blocks of more than one
+    edge, each a canonically sorted tuple of its edges, and the extreme pairs."""
+    def compute(q):
+        blocks, bridges = blocks_and_bridges(q)
+        mins, maxs = set(q._mins), set(q._maxs)
+        return (tuple(tuple(sorted(b, key=q.pair_key)) for b in blocks if len(b) > 1),
+                tuple(e for e in q.covers
+                      if e in bridges and e[0] in mins and e[1] in maxs))
+    return p.memo("blocks_and_bridges", compute)
 
 
 def extreme_pairs(p):
     """Pairs (x, y) with x minimal, y maximal, (x, y) a bridge cover edge."""
-    mins, maxs = set(p._mins), set(p._maxs)
-    _blocks, bridges = blocks_and_bridges(p)
-    return [e for e in p.covers
-            if e in bridges and e[0] in mins and e[1] in maxs]
+    return list(_cover_graph_data(p)[1])
 
 
 def sign_and_vset(p, u0, pair):
@@ -361,7 +405,7 @@ def sign_and_vset(p, u0, pair):
     iff u0 lands on x's side, and V is the component not containing u0.
     """
     p.index(u0)
-    if pair not in set(extreme_pairs(p)):
+    if pair not in _cover_graph_data(p)[1]:
         raise NotExtreme("%r is not an extreme pair" % (pair,))
     x, y = pair
     edge = {x, y}

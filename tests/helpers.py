@@ -13,7 +13,8 @@ from lietp import algebra, poset, tpstruct
 from lietp.errors import LietpError
 from lietp.halfder import (CentralElement, KappaMap, SigmaMap, central_valued,
                            inner, phi_sigma, walk_functionals)
-from lietp.poset import build_poset, closure, enumerate_cycles, pair_classes, walk_between
+from lietp.poset import (blocks_and_bridges, build_poset, enumerate_cycles,
+                         pair_classes, walk_between)
 
 
 def chain(n):
@@ -101,14 +102,17 @@ def full_catalog():
     return tuple(out)
 
 
-def random_connected_poset(rng, n):
+def random_connected_poset(rng, n, dense=False):
+    """Seeded connected poset on labels 1..n from n-1 to 2n random
+    comparabilities, or with dense=True from n to n(n-1)/2 of them."""
     labels = [str(i) for i in range(1, n + 1)]
     while True:
         gens = []
-        for _ in range(rng.randint(n - 1, 2 * n)):
+        high = n * (n - 1) // 2 if dense else 2 * n
+        for _ in range(rng.randint(n if dense else n - 1, high)):
             i, j = sorted(rng.sample(range(n), 2))
             gens.append((labels[i], labels[j]))
-        leq = closure(gens, labels)
+        leq = reference_closure(gens, labels)
         covers = [(x, y) for (x, y) in sorted(leq) if x != y and not any(
             z != x and z != y and (x, z) in leq and (z, y) in leq
             for z in labels)]
@@ -191,8 +195,9 @@ def brute_extreme_pairs(p):
             and e[0] in set(mins) and e[1] in set(maxs)]
 
 
-def brute_pair_classes(p):
-    """Pair classes from first principles: chain rule plus enumerated cycles."""
+def _chain_rule_classes(p, edge_groups):
+    """Strict pairs joined when their labels form a chain, O(P²), and the
+    cover edges of each group joined; classes in canonical order."""
     pairs = p.strict_pairs
     parent = {pr: pr for pr in pairs}
 
@@ -212,10 +217,7 @@ def brute_pair_classes(p):
             labels = set(pq) | set(uv)
             if all(p.leq(a, b) or p.leq(b, a) for a in labels for b in labels):
                 union(pq, uv)
-    for cyc in enumerate_cycles(p):
-        verts = cyc.vertices
-        edges = [(a, b) if p.less(a, b) else (b, a)
-                 for a, b in zip(verts, verts[1:])]
+    for edges in edge_groups:
         for e in edges[1:]:
             union(edges[0], e)
     grouped = {}
@@ -224,6 +226,44 @@ def brute_pair_classes(p):
     classes = [sorted(cls, key=p.pair_key) for cls in grouped.values()]
     classes.sort(key=lambda cls: p.pair_key(cls[0]))
     return classes
+
+
+def brute_pair_classes(p):
+    """Pair classes from first principles: chain rule plus enumerated cycles."""
+    groups = []
+    for cyc in enumerate_cycles(p):
+        verts = cyc.vertices
+        groups.append([(a, b) if p.less(a, b) else (b, a)
+                       for a, b in zip(verts, verts[1:])])
+    return _chain_rule_classes(p, groups)
+
+
+def reference_pair_classes(p):
+    """Pair classes by the pairwise same-chain rule plus the cover edges of
+    each biconnected block."""
+    blocks, _bridges = blocks_and_bridges(p)
+    return _chain_rule_classes(p, [sorted(b, key=p.pair_key) for b in blocks])
+
+
+def reference_closure(pairs, elements):
+    """Reflexive-transitive closure by a pairwise fixpoint."""
+    rel = {(x, x) for x in elements}
+    rel.update(pairs)
+    grown = True
+    while grown:
+        grown = False
+        for (a, b) in list(rel):
+            for (c, d) in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    grown = True
+    return rel
+
+
+def data_catalog(data_dir):
+    """The example posets shipped in data/, by file name."""
+    return {path.name: poset.parse_poset(path.read_text())
+            for path in sorted(data_dir.glob("*.poset"))}
 
 
 # --- brute-force transposed Poisson verifier ---------------------------------

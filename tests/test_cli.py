@@ -245,6 +245,16 @@ def test_tp_rejects_json_booleans_as_rationals(capsys, data_dir, tmp_path):
         "ParseError")
 
 
+def test_tp_rejects_non_string_u0(capsys, data_dir, tmp_path):
+    dfile = tmp_path / "data.json"
+    dfile.write_text(json.dumps({"u0": ["1"]}))
+    for mode in ("build", "verify", "decompose", "normalize"):
+        err = _rejected(capsys, "tp", mode, str(data_dir / "vee.poset"),
+                        str(dfile))
+        assert err == {"type": "ParseError",
+                       "detail": "u0 must be an element label, got ['1']"}
+
+
 def test_poset_file_rejects_repeated_cover(capsys, tmp_path):
     pfile = tmp_path / "dup.poset"
     pfile.write_text("elements: 1 2 3\n1 < 2\n1 < 3\n1 < 2\n")
@@ -287,17 +297,25 @@ def test_reports_are_hash_seed_independent(data_dir, tmp_path):
         {"u0": "1",
          "nu": [{"x": "1", "y": "3", "value": 1},
                 {"x": "2", "y": "4", "value": 1}]}))
+    # two 3-cycles: the error names one of six pairs comparable both ways
+    cyclic = tmp_path / "cyclic.poset"
+    cyclic.write_text("elements: 1 2 3 4 5 6\n1 < 2\n2 < 3\n3 < 1\n"
+                      "4 < 5\n5 < 6\n6 < 4\n3 < 4\n")
     jobs = [
-        ["analyze", str(data_dir / "en.poset")],
-        ["halfder", str(data_dir / "crown.poset"), "--oracle"],
-        ["tp", "build", str(data_dir / "en.poset"), str(comps)],
+        (["analyze", str(data_dir / "en.poset")], 0),
+        (["halfder", str(data_dir / "crown.poset"), "--oracle"], 0),
+        (["tp", "build", str(data_dir / "en.poset"), str(comps)], 0),
+        (["analyze", str(cyclic)], 1),
     ]
-    for argv in jobs:
+    for argv, code in jobs:
         outputs = set()
-        for seed in ("1", "2"):
+        for seed in ("0", "1", "2", "3", "4", "5"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
             res = subprocess.run([sys.executable, "-m", "lietp.cli"] + argv,
                                  capture_output=True, text=True, env=env)
-            assert res.returncode == 0, res.stdout + res.stderr
+            assert res.returncode == code, res.stdout + res.stderr
             outputs.add(res.stdout)
         assert len(outputs) == 1
+    assert json.loads(outputs.pop())["error"] == {
+        "type": "CycleInOrder",
+        "detail": "'1' and '2' are comparable both ways"}

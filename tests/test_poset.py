@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_extreme_pairs, brute_pair_classes, chain,
-                     full_catalog, random_connected_poset)
+                     data_catalog, full_catalog, random_connected_poset,
+                     reference_closure, reference_pair_classes)
+from lietp import poset, tpstruct
 from lietp.errors import (CapExceeded, CycleInOrder, InvalidWalk,
                           NotConnected, NotExtreme, ParseError,
                           RedundantCover, TooSmall, UnknownElement)
+from lietp.halfder import is_half_derivation, unit_brackets
 from lietp.poset import (Walk, blocks_and_bridges, build_poset, closure,
                          enumerate_cycles, extreme_pairs, min_max,
                          pair_classes, parse_poset, sign_and_vset,
@@ -54,6 +57,54 @@ def test_build_rejects_cycle_in_order():
 def test_build_rejects_redundant_cover():
     with pytest.raises(RedundantCover):
         build_poset(["1", "2", "3"], [("1", "2"), ("2", "3"), ("1", "3")])
+
+
+def _error(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value).__name__, str(info.value)
+
+
+def test_build_poset_error_messages():
+    # the exact texts the CLI prints in its JSON error document
+    chain5 = ["1", "2", "3", "4", "5"]
+    path5 = list(zip(chain5, chain5[1:]))
+    assert _error(build_poset, chain5, path5 + [("3", "5"), ("1", "3")]) == (
+        "RedundantCover", "input pairs [('1', '3'), ('3', '5')] are not "
+        "cover edges after closure")
+    assert _error(build_poset, ["1", "2", "3", "4"],
+                  [("1", "3"), ("2", "4")]) == (
+        "NotConnected", "cover graph is disconnected")
+    assert _error(build_poset, ["1"], []) == (
+        "TooSmall", "a poset needs at least 2 elements, got 1")
+    assert _error(build_poset, ["1", "2"], [("1", "9")]) == (
+        "UnknownElement", "cover pair ('1', '9') uses an unknown label")
+    assert _error(build_poset, ["1", "2"], [("1", "2"), ("2", "2")]) == (
+        "CycleInOrder", "reflexive pair ('2', '2') is not a strict cover")
+    assert _error(build_poset, ["1", "1"], [("1", "1")]) == (
+        "ParseError", "duplicate labels")
+    # a repeated pair is one cover to build_poset; the file format refuses it
+    twice = build_poset(chain5, path5 + [("2", "3")])
+    assert twice.covers == path5 and twice.pairs == chain(5).pairs
+    assert _error(parse_poset, "elements: 1 2 3\n1 < 2\n2 < 3\n1 < 2\n") == (
+        "ParseError", "line 4: repeated cover '1 < 2'")
+    assert _error(parse_poset, "elements: 1 2\n1 < 1\n") == (
+        "CycleInOrder", "reflexive pair ('1', '1') is not a strict cover")
+
+
+def test_cycle_error_names_least_pair():
+    # two 3-cycles joined by c < d: six pairs are comparable both ways, and
+    # the error names the least of them in canonical order, whatever the
+    # iteration order of the closure
+    labels = ["a", "b", "c", "d", "e", "f"]
+    cyc = [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "f"),
+           ("f", "d"), ("c", "d")]
+    for k in range(len(cyc)):
+        rotated = cyc[k:] + cyc[:k]
+        assert _error(build_poset, labels, rotated) == (
+            "CycleInOrder", "'a' and 'b' are comparable both ways")
+        assert _error(build_poset, labels[::-1], rotated) == (
+            "CycleInOrder", "'f' and 'e' are comparable both ways")
 
 
 def test_closure_is_reflexive_and_transitive():
@@ -217,3 +268,67 @@ def test_random_posets_bridges_and_cycles_agree(seed):
     _, bridges = blocks_and_bridges(p)
     assert {frozenset(e) for e in p.covers} - on_cycle == {
         frozenset(e) for e in bridges}
+
+
+def _random_posets():
+    rng = random.Random(20261018)
+    for n in range(6, 17):
+        for dense in (False, True):
+            for _ in range(4):
+                yield random_connected_poset(rng, n, dense)
+
+
+def test_pair_classes_and_closure_match_references(data_dir):
+    posets = list(data_catalog(data_dir).values()) + list(_random_posets())
+    assert max(len(p.pairs) for p in posets) > 100
+    for p in posets:
+        assert pair_classes(p).classes == reference_pair_classes(p)
+        covers = list(p.covers)
+        assert closure(covers, p.elements) == reference_closure(
+            covers, p.elements) == set(p.pairs)
+
+
+def test_combinatorics_computed_once_per_poset(monkeypatch, data_dir):
+    calls = {}
+    original = poset.blocks_and_bridges
+
+    def counted(p):
+        calls[id(p)] = calls.get(id(p), 0) + 1
+        return original(p)
+
+    monkeypatch.setattr(poset, "blocks_and_bridges", counted)
+    posets = list(data_catalog(data_dir).values()) + [chain(6)]
+    for p in posets:
+        prod = tpstruct.random_tp(p, 3)
+        for _ in range(2):
+            pair_classes(p)
+            pairs = extreme_pairs(p)
+            for u0 in p.elements:
+                for pr in pairs:
+                    sign_and_vset(p, u0, pr)
+            tpstruct.LambdaMap(p, {pr: 1 for pr in pairs})
+            tpstruct.decompose_tp(prod, p.elements[-1])
+    assert sorted(calls) == sorted(id(p) for p in posets)
+    assert set(calls.values()) == {1}
+
+
+def test_returned_values_do_not_alias_the_cache(zigzag):
+    p = zigzag
+    before = (extreme_pairs(p), pair_classes(p).classes, min_max(p),
+              blocks_and_bridges(p), sign_and_vset(p, "1", ("1", "3")))
+    extreme_pairs(p).clear()
+    pair_classes(p).classes.clear()
+    mins, maxs = min_max(p)
+    mins.clear()
+    maxs.append("9")
+    blocks, bridges = blocks_and_bridges(p)
+    blocks.clear()
+    bridges.clear()
+    assert isinstance(sign_and_vset(p, "1", ("1", "3"))[1], frozenset)
+    assert (extreme_pairs(p), pair_classes(p).classes, min_max(p),
+            blocks_and_bridges(p), sign_and_vset(p, "1", ("1", "3"))) == before
+    # the bracket table the checkers share is not the one handed out
+    ok = is_half_derivation(tpstruct.random_tp(p, 1).left_mult(p.pairs[0]))
+    unit_brackets(p).clear()
+    assert is_half_derivation(
+        tpstruct.random_tp(p, 1).left_mult(p.pairs[0])) == ok == (True, None)
