@@ -33,15 +33,6 @@ class TPProduct(object):
     def _key(self, i, j):
         return (i, j) if i <= j else (j, i)
 
-    def unit_product(self, pair1, pair2):
-        """Product of the basis vectors for two comparable pairs."""
-        i = self.owner.pair_index[pair1]
-        j = self.owner.pair_index[pair2]
-        elem = self.table.get(self._key(i, j))
-        if elem is None:
-            return algebra.zero(self.owner)
-        return algebra.IncidenceElement(self.owner, dict(elem.coeffs))
-
     def product(self, f, g):
         """Bilinear extension of the table."""
         if f.owner is not self.owner or g.owner is not self.owner:
@@ -120,12 +111,17 @@ def zero_product(p):
 
 
 def _accumulate(entries, key, coeffs):
+    """Add the nonzero coefficients {r: v} into entries[key]."""
     cur = entries.get(key)
     if cur is None:
-        cur = {}
-        entries[key] = cur
+        entries[key] = dict(coeffs)
+        return
     for r, v in coeffs.items():
-        s = cur.get(r, 0) + v
+        old = cur.get(r)
+        if old is None:
+            cur[r] = v
+            continue
+        s = old + v
         if s:
             cur[r] = s
         else:
@@ -141,7 +137,14 @@ def _build(p, entries):
 
 
 class MuMap(object):
-    """Symmetric rational function on X x X passing the Poisson-type condition.
+    """Symmetric rational function on X x X passing the Poisson-type condition
+    mu(x,y) r(z) = mu(y,z) r(x) for all x, y, z, where r(x) = sum_v mu(x,v).
+
+    The condition holds exactly when r is identically 0 or every column of
+    mu is a multiple of r.  If r(x0) != 0, the condition at z = x0 reads
+    mu(x,y) = c_y r(x) with c_y = mu(y,x0) / r(x0); conversely, given that,
+    symmetry gives mu(y,z) r(x) = c_y r(z) r(x) = mu(x,y) r(z).  So checking
+    z = x0 alone, for the first x0 with r(x0) != 0, decides it in O(n^2).
 
     check=False skips the condition; decompose_tp needs that because the
     mu part read off at a base point other than the one the product was
@@ -181,18 +184,36 @@ class MuMap(object):
 
 
 def _mu_condition_holds(p, mu):
-    rows = {x: mu.row_sum(x) for x in p.elements}
+    """The Poisson-type condition at z = x0 only (see MuMap), exact."""
+    full = {}
+    rows = dict.fromkeys(p.elements, 0)
+    for (x, y), v in mu.values.items():
+        full[(x, y)] = full[(y, x)] = v
+        rows[x] += v
+        if x != y:
+            rows[y] += v
+    x0 = next((x for x in p.elements if rows[x]), None)
+    if x0 is None:
+        return True
+    r0 = rows[x0]
+    # None stands for a zero entry; every stored value is nonzero
+    col0 = [(y, full.get((y, x0))) for y in p.elements]
     for x in p.elements:
-        for y in p.elements:
-            for z in p.elements:
-                if mu.value(x, y) * rows[z] != mu.value(y, z) * rows[x]:
+        rx = rows[x]
+        for y, c in col0:
+            v = full.get((x, y))
+            if v is None:
+                if c is not None and rx:
                     return False
+            elif c is None or v * r0 != c * rx:
+                return False
     return True
 
 
 def validate_mu(p, raw):
     """True iff the raw map is symmetric and mu(x,y) sum_v mu(z,v) =
-    mu(y,z) sum_v mu(x,v) for all x, y, z."""
+    mu(y,z) sum_v mu(x,v) for all x, y, z: that is, the row sums r vanish
+    or every column of mu is a multiple of r (see MuMap)."""
     try:
         MuMap(p, dict(raw))
     except (ValueError, MuNotAssociative):
@@ -200,39 +221,39 @@ def validate_mu(p, raw):
     return True
 
 
+def _poisson_entries(mu, entries):
+    pidx = mu.owner.pair_index
+    diagonal = [pidx[(x, x)] for x in mu.owner.elements]
+    for (x, y), v in mu.values.items():
+        i, j = pidx[(x, x)], pidx[(y, y)]
+        _accumulate(entries, (i, j) if i <= j else (j, i),
+                    dict.fromkeys(diagonal, v))
+
+
 def poisson_type(mu):
     """e_x . e_y = mu(x,y) delta; strict basis vectors annihilate everything."""
-    p = mu.owner
-    pidx = p.pair_index
-    ident = {pidx[(x, x)]: Fraction(1) for x in p.elements}
     entries = {}
-    n = len(p.elements)
-    for i in range(n):
-        for j in range(i, n):
-            x, y = p.elements[i], p.elements[j]
-            v = mu.value(x, y)
-            if v:
-                key = (pidx[(x, x)], pidx[(y, y)])
-                key = key if key[0] <= key[1] else (key[1], key[0])
-                _accumulate(entries, key, {r: v * c for r, c in ident.items()})
-    return _build(p, entries)
+    _poisson_entries(mu, entries)
+    return _build(mu.owner, entries)
+
+
+def _mutational_entries(nu, entries):
+    pidx = nu.owner.pair_index
+    for (x, y), v in nu.values.items():
+        kxy = pidx[(x, y)]
+        dx, dy = pidx[(x, x)], pidx[(y, y)]
+        _accumulate(entries, (min(dx, dy), max(dx, dy)), {kxy: v})
+        _accumulate(entries, (dx, dx), {kxy: -v})
+        _accumulate(entries, (dy, dy), {kxy: -v})
 
 
 def mutational(nu):
     """The product e_x . e_y = [[e_x, nu], e_y] written out per basis pair:
     nu(x,y) e_xy on a minimal-maximal pair, the negated row and column sums
     on the diagonal, zero elsewhere."""
-    p = nu.owner
-    pidx = p.pair_index
     entries = {}
-    for (x, y) in nu.support():
-        v = nu.value(x, y)
-        kxy = pidx[(x, y)]
-        dx, dy = pidx[(x, x)], pidx[(y, y)]
-        _accumulate(entries, (min(dx, dy), max(dx, dy)), {kxy: v})
-        _accumulate(entries, (dx, dx), {kxy: -v})
-        _accumulate(entries, (dy, dy), {kxy: -v})
-    return _build(p, entries)
+    _mutational_entries(nu, entries)
+    return _build(nu.owner, entries)
 
 
 class LambdaMap(object):
@@ -263,6 +284,24 @@ class LambdaMap(object):
     __hash__ = None
 
 
+def _lambda_entries(lam, u0, entries):
+    p = lam.owner
+    p.index(u0)
+    pidx = p.pair_index
+    for (x, y), q in lam.values.items():
+        sgn, vset = sign_and_vset(p, u0, (x, y))
+        side = [pidx[(v, v)] for v in vset]
+        kxy = pidx[(x, y)]
+        dx, dy = pidx[(x, x)], pidx[(y, y)]
+        _accumulate(entries, (min(dx, kxy), max(dx, kxy)), {kxy: q})
+        _accumulate(entries, (min(dy, kxy), max(dy, kxy)), {kxy: -q})
+        _accumulate(entries, (min(dx, dy), max(dx, dy)),
+                    dict.fromkeys(side, sgn * q))
+        away = dict.fromkeys(side, -sgn * q)
+        _accumulate(entries, (dx, dx), away)
+        _accumulate(entries, (dy, dy), away)
+
+
 def lambda_structure(lam, u0):
     """The lambda-structure based at u0.
 
@@ -271,23 +310,9 @@ def lambda_structure(lam, u0):
     x side): e_x.e_xy = q e_xy, e_y.e_xy = -q e_xy, e_x.e_y = sgn q e_V,
     and -sgn q e_V is added to both e_x.e_x and e_y.e_y.
     """
-    p = lam.owner
-    p.index(u0)
-    pidx = p.pair_index
     entries = {}
-    for (x, y) in lam.support():
-        q = lam.value(x, y)
-        sgn, vset = sign_and_vset(p, u0, (x, y))
-        ev = {pidx[(v, v)]: Fraction(1) for v in vset}
-        kxy = pidx[(x, y)]
-        dx, dy = pidx[(x, x)], pidx[(y, y)]
-        _accumulate(entries, (min(dx, kxy), max(dx, kxy)), {kxy: q})
-        _accumulate(entries, (min(dy, kxy), max(dy, kxy)), {kxy: -q})
-        _accumulate(entries, (min(dx, dy), max(dx, dy)),
-                    {r: sgn * q * c for r, c in ev.items()})
-        _accumulate(entries, (dx, dx), {r: -sgn * q * c for r, c in ev.items()})
-        _accumulate(entries, (dy, dy), {r: -sgn * q * c for r, c in ev.items()})
-    return _build(p, entries)
+    _lambda_entries(lam, u0, entries)
+    return _build(lam.owner, entries)
 
 
 def sum_products(a, b):
@@ -478,9 +503,15 @@ class TPDecomposition(object):
         self.u0 = u0
 
     def reconstruct(self):
-        return sum_products(sum_products(poisson_type(self.mu),
-                                         mutational(self.nu)),
-                            lambda_structure(self.lam, self.u0))
+        """The three families summed into one table in a single pass."""
+        p = self.mu.owner
+        if self.nu.owner is not p or self.lam.owner is not p:
+            raise OwnerMismatch("products over different posets")
+        entries = {}
+        _poisson_entries(self.mu, entries)
+        _mutational_entries(self.nu, entries)
+        _lambda_entries(self.lam, self.u0, entries)
+        return _build(p, entries)
 
 
 def decompose_tp(prod, u0):
@@ -498,14 +529,21 @@ def decompose_tp(prod, u0):
     report = verify_tp(prod)
     if not tp_passes(report):
         raise NotTransposedPoisson(report)
+    table, pidx = prod.table, p.pair_index
+
+    def coeff(left, right, out):
+        i, j = pidx[left], pidx[right]
+        elem = table.get((i, j) if i <= j else (j, i))
+        return None if elem is None else elem.coeffs.get(pidx[out])
+
     lam_vals = {}
     for (x, y) in extreme_pairs(p):
-        v = prod.unit_product((x, x), (x, y)).coeff(x, y)
+        v = coeff((x, x), (x, y), (x, y))
         if v:
             lam_vals[(x, y)] = v
     nu_vals = {}
     for (x, y) in algebra.minmax_pairs(p):
-        v = prod.unit_product((x, x), (y, y)).coeff(x, y)
+        v = coeff((x, x), (y, y), (x, y))
         if v:
             nu_vals[(x, y)] = v
     mu_vals = {}
@@ -513,7 +551,7 @@ def decompose_tp(prod, u0):
     for i in range(n):
         for j in range(i, n):
             x, y = p.elements[i], p.elements[j]
-            v = prod.unit_product((x, x), (y, y)).coeff(u0, u0)
+            v = coeff((x, x), (y, y), (u0, u0))
             if v:
                 mu_vals[(x, y)] = v
     mu = MuMap(p, mu_vals, check=False)
@@ -536,18 +574,31 @@ def normalize_nu(dec):
 
 
 def transport_product(prod, scales):
-    """Push a product through the diagonal automorphism e_k -> s_k e_k."""
+    """Push a product through the diagonal automorphism e_k -> s_k e_k.
+
+    Products that involve no rescaled basis vector, as a factor or in their
+    value, are carried over as they are.
+    """
     p = prod.owner
     s = {p.pair_index[pair]: Fraction(v) for pair, v in scales.items()}
     one = Fraction(1)
     table = {}
     for (i, j), elem in prod.table.items():
-        factor = 1 / (s.get(i, one) * s.get(j, one))
+        if i in s or j in s:
+            factor = 1 / (s.get(i, one) * s.get(j, one))
+        elif s.keys().isdisjoint(elem.coeffs):
+            table[(i, j)] = elem
+            continue
+        else:
+            factor = None
         coeffs = {}
         for r, v in elem.coeffs.items():
-            w = v * factor * s.get(r, one)
-            if w:
-                coeffs[r] = w
+            if factor is not None:
+                v *= factor
+            if r in s:
+                v *= s[r]
+            if v:
+                coeffs[r] = v
         if coeffs:
             table[(i, j)] = algebra.IncidenceElement(p, coeffs)
     return TPProduct(p, table)

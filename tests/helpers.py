@@ -350,3 +350,61 @@ def same_components(p, dec, mu, nu, lam):
         return False
     return all(dec.lam.value(*pr) == lam.value(*pr)
                for pr in poset.extreme_pairs(p))
+
+
+# --- brute-force routes for the Poisson-type family ---------------------------
+
+def reference_mu_condition(p, mu):
+    """mu(x,y) r(z) == mu(y,z) r(x) on every triple, r the row sums."""
+    rows = {x: mu.row_sum(x) for x in p.elements}
+    for x in p.elements:
+        for y in p.elements:
+            for z in p.elements:
+                if mu.value(x, y) * rows[z] != mu.value(y, z) * rows[x]:
+                    return False
+    return True
+
+
+MU_KINDS = ("rank-one", "zero-row-sum", "rank-one+1", "zero-row-sum+1",
+            "sparse")
+
+
+def random_raw_mu(p, rng, kind):
+    """Symmetric {(x, y): Fraction}, x before y, of one of MU_KINDS: a a^T,
+    a sum of c (e_x - e_y)(e_x - e_y)^T, either with +-1 added to one entry,
+    or independent entries at about a third of the pairs."""
+    els = p.elements
+    upper = [(x, y) for i, x in enumerate(els) for y in els[i:]]
+    vals = dict.fromkeys(upper, Fraction(0))
+    if kind.startswith("rank-one"):
+        a = {x: random_fraction(rng) for x in els}
+        for x, y in upper:
+            vals[(x, y)] = a[x] * a[y]
+    elif kind.startswith("zero-row-sum"):
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.sample(range(len(els)), 2))
+            c = random_fraction(rng, allow_zero=False)
+            vals[(els[i], els[i])] += c
+            vals[(els[j], els[j])] += c
+            vals[(els[i], els[j])] -= c
+    else:
+        for pr in upper:
+            if rng.random() < 0.3:
+                vals[pr] = random_fraction(rng)
+    if kind.endswith("+1"):
+        vals[rng.choice(upper)] += rng.choice((1, -1))
+    return {pr: v for pr, v in vals.items() if v}
+
+
+def reference_poisson_type(mu):
+    """e_x . e_y = mu(x,y) times the identity, from a dense n^2 scan."""
+    p = mu.owner
+    diagonal = [(x, x) for x in p.elements]
+    entries = {}
+    for x in p.elements:
+        for y in p.elements:
+            v = mu.value(x, y)
+            if v:
+                entries[((x, x), (y, y))] = algebra.element(
+                    p, {d: v for d in diagonal})
+    return tpstruct.tp_from_table(p, entries)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (BruteForce, chain, corrupted, full_catalog,
+from helpers import (MU_KINDS, BruteForce, chain, corrupted, data_catalog,
+                     full_catalog, random_connected_poset, random_raw_mu,
+                     reference_mu_condition, reference_poisson_type,
                      reference_verify, same_components)
 from lietp.algebra import (commutator, diag_unit, element, identity,
                            minmax_pairs, unit)
@@ -36,6 +38,51 @@ def test_validate_mu(chain2, vee):
     assert not validate_mu(chain2, {("1", "2"): 1})
     with pytest.raises(MuNotAssociative):
         MuMap(chain2, {("1", "2"): Fraction(1)})
+
+
+def _shipped_and_random_posets(data_dir, rng, count=30):
+    """The data/ posets and `count` seeded random connected ones, n 3-8."""
+    posets = list(data_catalog(data_dir).values())
+    for _ in range(count):
+        posets.append(random_connected_poset(rng, rng.randint(3, 8),
+                                             dense=rng.random() < 0.5))
+    return posets
+
+
+def test_mu_condition_matches_reference(data_dir):
+    rng = random.Random(4)
+    verdicts = {kind: set() for kind in MU_KINDS}
+    for p in _shipped_and_random_posets(data_dir, rng):
+        for kind in MU_KINDS:
+            for _ in range(4):
+                raw = random_raw_mu(p, rng, kind)
+                expected = reference_mu_condition(
+                    p, MuMap(p, raw, check=False))
+                assert validate_mu(p, raw) == expected, (p.covers, raw)
+                verdicts[kind].add(expected)
+    assert verdicts["rank-one"] == verdicts["zero-row-sum"] == {True}
+    assert False in verdicts["rank-one+1"] and False in verdicts[
+        "zero-row-sum+1"]
+    assert verdicts["sparse"] == {True, False}
+
+
+def _coeffs(prod):
+    return {key: elem.coeffs for key, elem in prod.table.items()}
+
+
+def test_reconstruct_equals_summed_families(data_dir):
+    rng = random.Random(5)
+    for p in _shipped_and_random_posets(data_dir, rng, count=20):
+        for _ in range(3):
+            mu, nu, lam, _u0 = random_tp_components(p, rng.randrange(1 << 30))
+            assert _coeffs(poisson_type(mu)) == _coeffs(
+                reference_poisson_type(mu))
+            for u0 in p.elements:
+                whole = TPDecomposition(mu, nu, lam, u0).reconstruct()
+                parts = sum_products(sum_products(poisson_type(mu),
+                                                  mutational(nu)),
+                                     lambda_structure(lam, u0))
+                assert _coeffs(whole) == _coeffs(parts), (p.covers, u0)
 
 
 def test_poisson_type_all_ones(chain2):
