@@ -28,6 +28,64 @@ def as_rational(v):
         raise ParseError("bad rational value %r: %s" % (v, exc))
 
 
+def add_scaled(acc, vec, c=1):
+    """acc += c * vec in place, for sparse {index: value} dicts; returns acc.
+
+    An entry that cancels to exactly 0 is deleted, so acc stores no zero
+    as long as vec stores none and c != 0.
+    """
+    scaled = c != 1
+    for k, v in vec.items():
+        if scaled:
+            v = c * v
+        old = acc.get(k)
+        if old is None:
+            acc[k] = v
+            continue
+        v += old
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
+    return acc
+
+
+class RationalMap(object):
+    """Exact rational values on validated keys; zeros are never stored.
+
+    A subclass gives its key rule as _key(key), which raises the class's
+    own error on a bad key and returns the key as stored.  Values are read
+    through as_rational.  A rule that stores two given keys as one (MuMap's
+    symmetric pairs) names in `clash` the error for values that differ.
+    support() orders keys by the owner's method named in `rank`.
+    """
+
+    rank = "pair_key"
+
+    def __init__(self, owner, values):
+        self.owner = owner
+        clean = {}
+        for key, v in values.items():
+            k, v = self._key(key), as_rational(v)
+            if clean.setdefault(k, v) != v:
+                raise ValueError(self.clash % key)
+        self.values = {k: v for k, v in clean.items() if v}
+
+    def value(self, *key):
+        """The value at a key (an element or a pair), 0 where none is stored."""
+        return self.values.get(key if len(key) > 1 else key[0], Fraction(0))
+
+    def support(self):
+        """The keys with a nonzero value, in canonical order."""
+        return sorted(self.values, key=getattr(self.owner, self.rank))
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other.owner is self.owner
+                and other.values == self.values)
+
+    __hash__ = None
+
+
 class IncidenceElement(object):
 
     def __init__(self, owner, coeffs):
@@ -57,14 +115,8 @@ class IncidenceElement(object):
 
     def __add__(self, other):
         self._check_owner(other)
-        res = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = res.get(k, 0) + c
-            if s:
-                res[k] = s
-            else:
-                res.pop(k, None)
-        return IncidenceElement(self.owner, res)
+        return IncidenceElement(self.owner,
+                                add_scaled(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -111,9 +163,7 @@ def element(p, mapping):
             raise UnknownElement("(%r, %r) is not a comparable pair" % (x, y))
         v = as_rational(v)
         if v:
-            coeffs[k] = coeffs.get(k, 0) + v
-            if not coeffs[k]:
-                del coeffs[k]
+            coeffs[k] = v
     return IncidenceElement(p, coeffs)
 
 

@@ -43,23 +43,15 @@ class LinearOperator(object):
 
     def __add__(self, other):
         self._check_owner(other)
-        cols = []
-        for a, b in zip(self.columns, other.columns):
-            col = dict(a)
-            for k, v in b.items():
-                s = col.get(k, 0) + v
-                if s:
-                    col[k] = s
-                else:
-                    col.pop(k, None)
-            cols.append(col)
-        return LinearOperator(self.owner, cols)
+        cols = zip(self.columns, other.columns)
+        return LinearOperator(self.owner,
+                              [algebra.add_scaled(dict(a), b) for a, b in cols])
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, k):
-        k = Fraction(k)
+        k = algebra.as_rational(k)
         if not k:
             return zero_operator(self.owner)
         return LinearOperator(self.owner,
@@ -104,12 +96,7 @@ def apply(op, f):
         raise OwnerMismatch("operator and element of different posets")
     acc = {}
     for j, c in f.coeffs.items():
-        for r, v in op.columns[j].items():
-            s = acc.get(r, 0) + c * v
-            if s:
-                acc[r] = s
-            else:
-                del acc[r]
+        algebra.add_scaled(acc, op.columns[j], c)
     return algebra.IncidenceElement(op.owner, acc)
 
 
@@ -173,56 +160,30 @@ def is_half_derivation(op):
                 if br is None or not any(r in nonzero for r in br):
                     continue
             lhs = {}
-            if br:
-                for r, s in br.items():
-                    for k, v in cols[r].items():
-                        t = lhs.get(k, 0) + 2 * s * v
-                        if t:
-                            lhs[k] = t
-                        else:
-                            del lhs[k]
-            rhs = _comm_with_unit(p, cols[i], pairs[j])
-            for k, v in _comm_with_unit(p, cols[j], pairs[i]).items():
-                t = rhs.get(k, 0) - v
-                if t:
-                    rhs[k] = t
-                else:
-                    del rhs[k]
+            for r, s in (br or {}).items():
+                algebra.add_scaled(lhs, cols[r], 2 * s)
+            rhs = algebra.add_scaled(_comm_with_unit(p, cols[i], pairs[j]),
+                                     _comm_with_unit(p, cols[j], pairs[i]), -1)
             if lhs != rhs:
                 return False, (pairs[i], pairs[j])
     return True, None
 
 
-class CentralElement(object):
+class CentralElement(algebra.RationalMap):
     """Element of Z([I,I]): coefficients on pairs (x, y), x minimal, y maximal."""
 
-    def __init__(self, owner, values):
-        allowed = set(algebra.minmax_pairs(owner))
-        clean = {}
-        for pair, v in values.items():
-            if pair not in allowed:
-                raise NotCentralInCommutator(
-                    "(%r, %r) is not a minimal-maximal pair" % pair)
-            v = Fraction(v)
-            if v:
-                clean[pair] = v
-        self.owner = owner
-        self.values = clean
-
-    def value(self, x, y):
-        return self.values.get((x, y), Fraction(0))
+    def _key(self, pair):
+        if pair not in self.owner.memo("minmax_pairs", _minmax_set):
+            raise NotCentralInCommutator(
+                "(%r, %r) is not a minimal-maximal pair" % pair)
+        return pair
 
     def as_element(self):
         return algebra.element(self.owner, self.values)
 
-    def support(self):
-        return sorted(self.values, key=self.owner.pair_key)
 
-    def __eq__(self, other):
-        return (isinstance(other, CentralElement)
-                and other.owner is self.owner and other.values == self.values)
-
-    __hash__ = None
+def _minmax_set(p):
+    return frozenset(algebra.minmax_pairs(p))
 
 
 def central_from_element(elem):
@@ -230,27 +191,14 @@ def central_from_element(elem):
     return CentralElement(elem.owner, dict(elem.items()))
 
 
-class KappaMap(object):
+class KappaMap(algebra.RationalMap):
     """Rational weight per poset element."""
 
-    def __init__(self, owner, values):
-        clean = {}
-        for x, v in values.items():
-            owner.index(x)
-            v = Fraction(v)
-            if v:
-                clean[x] = v
-        self.owner = owner
-        self.values = clean
+    rank = "index"
 
-    def value(self, x):
-        return self.values.get(x, Fraction(0))
-
-    def __eq__(self, other):
-        return (isinstance(other, KappaMap)
-                and other.owner is self.owner and other.values == self.values)
-
-    __hash__ = None
+    def _key(self, x):
+        self.owner.index(x)
+        return x
 
 
 class SigmaMap(object):
@@ -261,7 +209,7 @@ class SigmaMap(object):
             raise ValueError("need one value per pair class")
         self.owner = partition.owner
         self.partition = partition
-        self.class_values = [Fraction(v) for v in class_values]
+        self.class_values = [algebra.as_rational(v) for v in class_values]
 
     def value(self, x, y):
         k = self.partition.class_of.get((x, y))
@@ -287,7 +235,7 @@ def sigma_from_map(p, raw, partition=None):
     partition = partition or pair_classes(p)
     values = []
     for cls in partition.classes:
-        vals = {Fraction(raw.get(pr, 0)) for pr in cls}
+        vals = {algebra.as_rational(raw.get(pr, 0)) for pr in cls}
         if len(vals) != 1:
             raise ValueError("map is not constant on class %s" % (cls,))
         values.append(vals.pop())
@@ -296,16 +244,17 @@ def sigma_from_map(p, raw, partition=None):
 
 def is_admissible(raw, p):
     """True iff the raw map is constant on chains and on cycles."""
-    for cls in pair_classes(p).classes:
-        if len({Fraction(raw.get(pr, 0)) for pr in cls}) != 1:
-            return False
+    try:
+        sigma_from_map(p, raw)
+    except ValueError:
+        return False
     return True
 
 
 def _sigma_value(sigma, x, y):
     if isinstance(sigma, SigmaMap):
         return sigma.value(x, y)
-    return Fraction(sigma.get((x, y), 0))
+    return algebra.as_rational(sigma.get((x, y), 0))
 
 
 def walk_functionals(sigma, walk, x):
@@ -481,14 +430,7 @@ def _eliminate(pivots, row):
             pivots[c] = _normalize_int_row(row)
             return
         a, b = row[c], prow[c]
-        new = {k: b * v for k, v in row.items()}
-        for k, v in prow.items():
-            t = new.get(k, 0) - a * v
-            if t:
-                new[k] = t
-            else:
-                new.pop(k, None)
-        row = new
+        row = algebra.add_scaled({k: b * v for k, v in row.items()}, prow, -a)
 
 
 def half_derivation_space(p, cap=DEFAULT_ORACLE_CAP):

@@ -19,6 +19,11 @@ from .poset import extreme_pairs, sign_and_vset
 NuElement = halfder.CentralElement
 
 
+def _table_key(i, j):
+    """Key of the product of basis vectors i and j in a table: (min, max)."""
+    return (i, j) if i <= j else (j, i)
+
+
 class TPProduct(object):
     """Commutative product table on the e_xy basis.
 
@@ -30,9 +35,6 @@ class TPProduct(object):
         self.owner = owner
         self.table = table
 
-    def _key(self, i, j):
-        return (i, j) if i <= j else (j, i)
-
     def product(self, f, g):
         """Bilinear extension of the table."""
         if f.owner is not self.owner or g.owner is not self.owner:
@@ -40,16 +42,9 @@ class TPProduct(object):
         acc = {}
         for i, a in f.coeffs.items():
             for j, b in g.coeffs.items():
-                elem = self.table.get(self._key(i, j))
-                if elem is None:
-                    continue
-                c = a * b
-                for r, v in elem.coeffs.items():
-                    s = acc.get(r, 0) + c * v
-                    if s:
-                        acc[r] = s
-                    else:
-                        del acc[r]
+                elem = self.table.get(_table_key(i, j))
+                if elem is not None:
+                    algebra.add_scaled(acc, elem.coeffs, a * b)
         return algebra.IncidenceElement(self.owner, acc)
 
     def left_mult(self, pair):
@@ -57,7 +52,7 @@ class TPProduct(object):
         z = self.owner.pair_index[pair]
         cols = []
         for j in range(len(self.owner.pairs)):
-            elem = self.table.get(self._key(z, j))
+            elem = self.table.get(_table_key(z, j))
             cols.append(dict(elem.coeffs) if elem is not None else {})
         return halfder.LinearOperator(self.owner, cols)
 
@@ -96,7 +91,7 @@ def tp_from_table(p, entries):
             val = algebra.element(p, val)
         if val.owner is not p:
             raise OwnerMismatch("product entry belongs to a different poset")
-        key = (i, j) if i <= j else (j, i)
+        key = _table_key(i, j)
         if key in table:
             if table[key] != val:
                 raise ValueError("conflicting values for a product and its transpose")
@@ -112,20 +107,7 @@ def zero_product(p):
 
 def _accumulate(entries, key, coeffs):
     """Add the nonzero coefficients {r: v} into entries[key]."""
-    cur = entries.get(key)
-    if cur is None:
-        entries[key] = dict(coeffs)
-        return
-    for r, v in coeffs.items():
-        old = cur.get(r)
-        if old is None:
-            cur[r] = v
-            continue
-        s = old + v
-        if s:
-            cur[r] = s
-        else:
-            del cur[r]
+    algebra.add_scaled(entries.setdefault(key, {}), coeffs)
 
 
 def _build(p, entries):
@@ -136,7 +118,7 @@ def _build(p, entries):
     return TPProduct(p, table)
 
 
-class MuMap(object):
+class MuMap(algebra.RationalMap):
     """Symmetric rational function on X x X passing the Poisson-type condition
     mu(x,y) r(z) = mu(y,z) r(x) for all x, y, z, where r(x) = sum_v mu(x,v).
 
@@ -153,34 +135,22 @@ class MuMap(object):
     stays transposed Poisson.
     """
 
+    clash = "mu given asymmetric values at (%r, %r)"
+
     def __init__(self, owner, values, check=True):
-        clean = {}
-        for (x, y), v in values.items():
-            i, j = owner.index(x), owner.index(y)
-            key = (x, y) if i <= j else (y, x)
-            v = Fraction(v)
-            if key in clean and clean[key] != v:
-                raise ValueError("mu given asymmetric values at (%r, %r)" % (x, y))
-            clean[key] = v
-        clean = {k: v for k, v in clean.items() if v}
-        self.owner = owner
-        self.values = clean
+        super().__init__(owner, values)
         if check and not _mu_condition_holds(owner, self):
             raise MuNotAssociative("mu fails the Poisson-type condition")
 
+    def _key(self, pair):
+        x, y = pair
+        return (x, y) if self.owner.index(x) <= self.owner.index(y) else (y, x)
+
     def value(self, x, y):
-        i, j = self.owner.index(x), self.owner.index(y)
-        key = (x, y) if i <= j else (y, x)
-        return self.values.get(key, Fraction(0))
+        return self.values.get(self._key((x, y)), Fraction(0))
 
     def row_sum(self, x):
         return sum((self.value(x, v) for v in self.owner.elements), Fraction(0))
-
-    def __eq__(self, other):
-        return (isinstance(other, MuMap)
-                and other.owner is self.owner and other.values == self.values)
-
-    __hash__ = None
 
 
 def _mu_condition_holds(p, mu):
@@ -225,8 +195,7 @@ def _poisson_entries(mu, entries):
     pidx = mu.owner.pair_index
     diagonal = [pidx[(x, x)] for x in mu.owner.elements]
     for (x, y), v in mu.values.items():
-        i, j = pidx[(x, x)], pidx[(y, y)]
-        _accumulate(entries, (i, j) if i <= j else (j, i),
+        _accumulate(entries, _table_key(pidx[(x, x)], pidx[(y, y)]),
                     dict.fromkeys(diagonal, v))
 
 
@@ -242,7 +211,7 @@ def _mutational_entries(nu, entries):
     for (x, y), v in nu.values.items():
         kxy = pidx[(x, y)]
         dx, dy = pidx[(x, x)], pidx[(y, y)]
-        _accumulate(entries, (min(dx, dy), max(dx, dy)), {kxy: v})
+        _accumulate(entries, _table_key(dx, dy), {kxy: v})
         _accumulate(entries, (dx, dx), {kxy: -v})
         _accumulate(entries, (dy, dy), {kxy: -v})
 
@@ -256,32 +225,13 @@ def mutational(nu):
     return _build(nu.owner, entries)
 
 
-class LambdaMap(object):
+class LambdaMap(algebra.RationalMap):
     """Rational weight on the extreme pairs, total with default 0."""
 
-    def __init__(self, owner, values):
-        allowed = set(extreme_pairs(owner))
-        clean = {}
-        for pair, v in values.items():
-            if pair not in allowed:
-                raise ValueError("(%r, %r) is not an extreme pair" % tuple(pair))
-            v = Fraction(v)
-            if v:
-                clean[pair] = v
-        self.owner = owner
-        self.values = clean
-
-    def value(self, x, y):
-        return self.values.get((x, y), Fraction(0))
-
-    def support(self):
-        return sorted(self.values, key=self.owner.pair_key)
-
-    def __eq__(self, other):
-        return (isinstance(other, LambdaMap)
-                and other.owner is self.owner and other.values == self.values)
-
-    __hash__ = None
+    def _key(self, pair):
+        if pair not in extreme_pairs(self.owner):
+            raise ValueError("(%r, %r) is not an extreme pair" % tuple(pair))
+        return pair
 
 
 def _lambda_entries(lam, u0, entries):
@@ -293,10 +243,9 @@ def _lambda_entries(lam, u0, entries):
         side = [pidx[(v, v)] for v in vset]
         kxy = pidx[(x, y)]
         dx, dy = pidx[(x, x)], pidx[(y, y)]
-        _accumulate(entries, (min(dx, kxy), max(dx, kxy)), {kxy: q})
-        _accumulate(entries, (min(dy, kxy), max(dy, kxy)), {kxy: -q})
-        _accumulate(entries, (min(dx, dy), max(dx, dy)),
-                    dict.fromkeys(side, sgn * q))
+        _accumulate(entries, _table_key(dx, kxy), {kxy: q})
+        _accumulate(entries, _table_key(dy, kxy), {kxy: -q})
+        _accumulate(entries, _table_key(dx, dy), dict.fromkeys(side, sgn * q))
         away = dict.fromkeys(side, -sgn * q)
         _accumulate(entries, (dx, dx), away)
         _accumulate(entries, (dy, dy), away)
@@ -336,15 +285,9 @@ def orthogonal(a, b):
             for k in range(B):
                 acc = {}
                 for r, c in elem.coeffs.items():
-                    other = second.table.get((r, k) if r <= k else (k, r))
-                    if other is None:
-                        continue
-                    for s, v in other.coeffs.items():
-                        t = acc.get(s, 0) + c * v
-                        if t:
-                            acc[s] = t
-                        else:
-                            del acc[s]
+                    other = second.table.get(_table_key(r, k))
+                    if other is not None:
+                        algebra.add_scaled(acc, other.coeffs, c)
                 if acc:
                     return False
     return True
@@ -532,8 +475,7 @@ def decompose_tp(prod, u0):
     table, pidx = prod.table, p.pair_index
 
     def coeff(left, right, out):
-        i, j = pidx[left], pidx[right]
-        elem = table.get((i, j) if i <= j else (j, i))
+        elem = table.get(_table_key(pidx[left], pidx[right]))
         return None if elem is None else elem.coeffs.get(pidx[out])
 
     lam_vals = {}
@@ -580,7 +522,8 @@ def transport_product(prod, scales):
     value, are carried over as they are.
     """
     p = prod.owner
-    s = {p.pair_index[pair]: Fraction(v) for pair, v in scales.items()}
+    s = {p.pair_index[pair]: algebra.as_rational(v)
+         for pair, v in scales.items()}
     one = Fraction(1)
     table = {}
     for (i, j), elem in prod.table.items():
@@ -644,8 +587,7 @@ def random_mu(p, rng, side_sets=()):
                 x, y = rng.sample(pools[rng.randrange(len(pools))], 2)
                 c = _random_rational(rng, allow_zero=False)
                 for (u, w), d in (((x, x), c), ((y, y), c), ((x, y), -c)):
-                    i, j = p.index(u), p.index(w)
-                    key = (u, w) if i <= j else (w, u)
+                    key = (u, w) if p.index(u) <= p.index(w) else (w, u)
                     vals[key] = vals.get(key, Fraction(0)) + d
     return MuMap(p, vals)
 

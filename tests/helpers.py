@@ -301,6 +301,22 @@ class BruteForce(object):
                 == comm(self.times(a, b), u[c]) + comm(u[b], self.times(a, c)))
 
 
+def reference_orthogonal(a, b):
+    """orthogonal(a, b) by brute force: every product b_i . b_j of one
+    structure, multiplied by every basis vector under the other, is 0."""
+    for first, second in ((BruteForce(a), BruteForce(b)),
+                          (BruteForce(b), BruteForce(a))):
+        B = len(first.units)
+        for i in range(B):
+            for j in range(i, B):
+                f = first.times(i, j)
+                if not f.is_zero() and any(
+                        not second.prod.product(f, u).is_zero()
+                        for u in second.units):
+                    return False
+    return True
+
+
 def reference_verify(prod):
     """verify_tp's report by brute force: every basis triple (a, b, c) for
     associativity and every (z, x, y) with x < y for the transposed Leibniz

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from helpers import (MU_KINDS, BruteForce, chain, corrupted, data_catalog,
                      full_catalog, random_connected_poset, random_raw_mu,
-                     reference_mu_condition, reference_poisson_type,
-                     reference_verify, same_components)
+                     reference_mu_condition, reference_orthogonal,
+                     reference_poisson_type, reference_verify,
+                     same_components)
 from lietp.algebra import (commutator, diag_unit, element, identity,
                            minmax_pairs, unit)
 from lietp.errors import (MuNotAssociative, NotCentralInCommutator,
@@ -283,6 +284,23 @@ def test_mutational_orthogonal_to_poisson(branch4):
     assert orthogonal(mutational(nu), poisson_type(mu))
     assert tp_passes(verify_tp(sum_products(mutational(nu),
                                             poisson_type(mu))))
+
+
+def test_orthogonal_matches_brute_force_on_catalog():
+    # the three families of two seeded draws, every pair of them
+    verdicts = set()
+    for p in CATALOG:
+        prods = []
+        for seed in (0, 1):
+            mu, nu, lam, u0 = random_tp_components(p, seed)
+            prods += [poisson_type(mu), mutational(nu),
+                      lambda_structure(lam, u0)]
+        for k, a in enumerate(prods):
+            for b in prods[k + 1:]:
+                got = orthogonal(a, b)
+                assert got == reference_orthogonal(a, b)
+                verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_lambda_plus_mutational_sums(vee):
