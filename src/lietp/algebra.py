@@ -67,7 +67,8 @@ class RationalMap(object):
         clean = {}
         for key, v in values.items():
             k, v = self._key(key), as_rational(v)
-            if clean.setdefault(k, v) != v:
+            old = clean.setdefault(k, v)
+            if old is not v and old != v:
                 raise ValueError(self.clash % key)
         self.values = {k: v for k, v in clean.items() if v}
 
@@ -264,6 +265,11 @@ def minmax_pairs(p):
     return [(x, y) for x, y in p.strict_pairs if x in mins and y in maxs]
 
 
+def minmax_pair_set(p):
+    """The minimal-maximal pairs as a frozenset, computed once per poset."""
+    return p.memo("minmax_pairs", lambda q: frozenset(minmax_pairs(q)))
+
+
 def to_records(f):
     """JSON-shaped serialization; bit-exact round trip with from_records."""
     return [{"from": x, "to": y,
@@ -280,5 +286,8 @@ def from_records(p, records):
             raise ParseError("record %r needs an integer numerator and a "
                              "nonzero integer denominator" % (rec,))
         key = (rec["from"], rec["to"])
-        coeffs[key] = coeffs.get(key, Fraction(0)) + Fraction(num, den)
+        if key in coeffs:
+            raise ParseError("record %r repeats the pair (%r, %r)"
+                             % ((rec,) + key))
+        coeffs[key] = Fraction(num, den)
     return element(p, coeffs)

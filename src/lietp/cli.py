@@ -71,6 +71,9 @@ def _product_from_data(p, data):
         for row in data.get("table", []):
             left = (row["left"]["from"], row["left"]["to"])
             right = (row["right"]["from"], row["right"]["to"])
+            if (left, right) in entries or (right, left) in entries:
+                raise ParseError("bad product table: the product of %r and "
+                                 "%r is given twice" % (left, right))
             entries[(left, right)] = algebra.from_records(p, row["product"])
         return tpstruct.tp_from_table(p, entries)
     except (KeyError, TypeError, ValueError) as exc:

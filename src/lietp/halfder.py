@@ -173,17 +173,13 @@ class CentralElement(algebra.RationalMap):
     """Element of Z([I,I]): coefficients on pairs (x, y), x minimal, y maximal."""
 
     def _key(self, pair):
-        if pair not in self.owner.memo("minmax_pairs", _minmax_set):
+        if pair not in algebra.minmax_pair_set(self.owner):
             raise NotCentralInCommutator(
                 "(%r, %r) is not a minimal-maximal pair" % pair)
         return pair
 
     def as_element(self):
         return algebra.element(self.owner, self.values)
-
-
-def _minmax_set(p):
-    return frozenset(algebra.minmax_pairs(p))
 
 
 def central_from_element(elem):

@@ -383,13 +383,14 @@ def pair_classes(p):
 
 def _cover_graph_data(p):
     """From one blocks_and_bridges(p) per poset: the blocks of more than one
-    edge, each a canonically sorted tuple of its edges, and the extreme pairs."""
+    edge, each a canonically sorted tuple of its edges, and the extreme pairs
+    as a dict with value None, in canonical order."""
     def compute(q):
         blocks, bridges = blocks_and_bridges(q)
         mins, maxs = set(q._mins), set(q._maxs)
         return (tuple(tuple(sorted(b, key=q.pair_key)) for b in blocks if len(b) > 1),
-                tuple(e for e in q.covers
-                      if e in bridges and e[0] in mins and e[1] in maxs))
+                dict.fromkeys(e for e in q.covers
+                              if e in bridges and e[0] in mins and e[1] in maxs))
     return p.memo("blocks_and_bridges", compute)
 
 
@@ -398,21 +399,60 @@ def extreme_pairs(p):
     return list(_cover_graph_data(p)[1])
 
 
+def is_extreme_pair(p, pair):
+    """True iff pair is an extreme pair of p, in O(1)."""
+    return pair in _cover_graph_data(p)[1]
+
+
+def bridge_sides(p, u0):
+    """The side sets of every extreme pair seen from u0, from one search.
+
+    Returns (order, sides): order is a depth-first preorder of the cover
+    graph from u0, and sides maps each extreme pair (x, y) to (sign, lo, hi)
+    with far-side set order[lo:hi].  A bridge is an edge of every spanning
+    tree, so removing it leaves the subtree of its deeper endpoint as the
+    component away from u0, and a preorder lists each subtree contiguously;
+    the sign is +1 iff the deeper endpoint is y, that is, u0 lies on x's
+    side.  Computed once per poset and base point in O(n + E), kept in
+    O(n) space.
+    """
+    p.index(u0)
+
+    def compute(q):
+        order, start, end = [u0], {u0: 0}, {}
+        stack = [(u0, iter(q.adjacency[u0]))]
+        while stack:
+            v, nbrs = stack[-1]
+            for w in nbrs:
+                if w not in start:
+                    start[w] = len(order)
+                    order.append(w)
+                    stack.append((w, iter(q.adjacency[w])))
+                    break
+            else:
+                stack.pop()
+                end[v] = len(order)
+        sides = {}
+        for x, y in _cover_graph_data(q)[1]:
+            sgn, deeper = (1, y) if start[y] > start[x] else (-1, x)
+            sides[(x, y)] = (sgn, start[deeper], end[deeper])
+        return tuple(order), sides
+    return p.memo(("bridge_sides", u0), compute)
+
+
 def sign_and_vset(p, u0, pair):
     """Orientation sign of an extreme pair seen from u0, and the far-side vertex set.
 
     Removing the bridge (x, y) splits the cover graph in two; the sign is +1
-    iff u0 lands on x's side, and V is the component not containing u0.
+    iff u0 lands on x's side, and V is the component not containing u0
+    (read from bridge_sides).
     """
-    p.index(u0)
-    if pair not in _cover_graph_data(p)[1]:
+    order, sides = bridge_sides(p, u0)
+    try:
+        sgn, lo, hi = sides[pair]
+    except (KeyError, TypeError):
         raise NotExtreme("%r is not an extreme pair" % (pair,))
-    x, y = pair
-    edge = {x, y}
-    side_x = _component_of(p, x, edge)
-    if u0 in side_x:
-        return 1, frozenset(_component_of(p, y, edge))
-    return -1, frozenset(side_x)
+    return sgn, frozenset(order[lo:hi])
 
 
 def walk_between(p, u, v):

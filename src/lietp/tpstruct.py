@@ -13,8 +13,8 @@ from math import lcm
 
 from . import algebra, halfder
 from .errors import (MuNotAssociative, NotTransposedPoisson, OwnerMismatch,
-                     ReconstructionMismatch)
-from .poset import extreme_pairs, sign_and_vset
+                     ParseError, ReconstructionMismatch)
+from .poset import bridge_sides, extreme_pairs, is_extreme_pair, sign_and_vset
 
 NuElement = halfder.CentralElement
 
@@ -107,7 +107,11 @@ def zero_product(p):
 
 def _accumulate(entries, key, coeffs):
     """Add the nonzero coefficients {r: v} into entries[key]."""
-    algebra.add_scaled(entries.setdefault(key, {}), coeffs)
+    acc = entries.get(key)
+    if acc is None:
+        entries[key] = dict(coeffs)
+    else:
+        algebra.add_scaled(acc, coeffs)
 
 
 def _build(p, entries):
@@ -126,7 +130,8 @@ class MuMap(algebra.RationalMap):
     mu is a multiple of r.  If r(x0) != 0, the condition at z = x0 reads
     mu(x,y) = c_y r(x) with c_y = mu(y,x0) / r(x0); conversely, given that,
     symmetry gives mu(y,z) r(x) = c_y r(z) r(x) = mu(x,y) r(z).  So checking
-    z = x0 alone, for the first x0 with r(x0) != 0, decides it in O(n^2).
+    z = x0 alone, for the first x0 with r(x0) != 0, decides it, in
+    O(n + |mu|) (see _mu_condition_holds).
 
     check=False skips the condition; decompose_tp needs that because the
     mu part read off at a base point other than the one the product was
@@ -139,7 +144,7 @@ class MuMap(algebra.RationalMap):
 
     def __init__(self, owner, values, check=True):
         super().__init__(owner, values)
-        if check and not _mu_condition_holds(owner, self):
+        if check and not _mu_condition_holds(owner, self.values):
             raise MuNotAssociative("mu fails the Poisson-type condition")
 
     def _key(self, pair):
@@ -153,31 +158,41 @@ class MuMap(algebra.RationalMap):
         return sum((self.value(x, v) for v in self.owner.elements), Fraction(0))
 
 
-def _mu_condition_holds(p, mu):
-    """The Poisson-type condition at z = x0 only (see MuMap), exact."""
-    full = {}
-    rows = dict.fromkeys(p.elements, 0)
-    for (x, y), v in mu.values.items():
-        full[(x, y)] = full[(y, x)] = v
-        rows[x] += v
+def _mu_condition_holds(p, values):
+    """The Poisson-type condition at z = x0 only (see MuMap), exact, in
+    O(n + |mu|) for mu given by its nonzero values {(x, y): v}, one key per
+    symmetric pair.
+
+    With r0 = r(x0) and c_y = mu(y, x0) it asks mu(x,y) r0 = c_y r(x) for
+    every x, y.  Where mu(x,y) = 0 that says c_y = 0 or r(x) = 0, and where
+    mu(x,y) != 0 it needs both nonzero; so it holds iff the ordered pairs
+    with mu(x,y) != 0 are exactly those with r(x) != 0 and c_y != 0, and
+    the equation holds on each of them.  The condition is homogeneous, so
+    the values may be scaled by any positive constant.
+    """
+    rows = {}
+    for (x, y), v in values.items():
+        rows[x] = rows.get(x, 0) + v
         if x != y:
-            rows[y] += v
-    x0 = next((x for x in p.elements if rows[x]), None)
+            rows[y] = rows.get(y, 0) + v
+    x0 = next((x for x in p.elements if rows.get(x)), None)
     if x0 is None:
         return True
     r0 = rows[x0]
-    # None stands for a zero entry; every stored value is nonzero
-    col0 = [(y, full.get((y, x0))) for y in p.elements]
-    for x in p.elements:
-        rx = rows[x]
-        for y, c in col0:
-            v = full.get((x, y))
-            if v is None:
-                if c is not None and rx:
-                    return False
-            elif c is None or v * r0 != c * rx:
+    col0 = {}
+    for (x, y), v in values.items():
+        if y == x0:
+            col0[x] = v
+        if x == x0:
+            col0[y] = v
+    count = 0
+    for (x, y), v in values.items():
+        for a, b in (((x, y), (y, x)) if x != y else ((x, y),)):
+            c, ra = col0.get(b), rows[a]
+            if c is None or not ra or v * r0 != c * ra:
                 return False
-    return True
+            count += 1
+    return count == len(col0) * sum(1 for r in rows.values() if r)
 
 
 def validate_mu(p, raw):
@@ -191,10 +206,14 @@ def validate_mu(p, raw):
     return True
 
 
-def _poisson_entries(mu, entries):
-    pidx = mu.owner.pair_index
-    diagonal = [pidx[(x, x)] for x in mu.owner.elements]
-    for (x, y), v in mu.values.items():
+# The _*_entries functions add a family's products, from its values
+# {key: v}, into entries {(i, j): {r: v}}; the values may be Fractions or
+# the integers of a table cleared of denominators.
+
+def _poisson_entries(p, values, entries):
+    pidx = p.pair_index
+    diagonal = [pidx[(x, x)] for x in p.elements]
+    for (x, y), v in values.items():
         _accumulate(entries, _table_key(pidx[(x, x)], pidx[(y, y)]),
                     dict.fromkeys(diagonal, v))
 
@@ -202,13 +221,13 @@ def _poisson_entries(mu, entries):
 def poisson_type(mu):
     """e_x . e_y = mu(x,y) delta; strict basis vectors annihilate everything."""
     entries = {}
-    _poisson_entries(mu, entries)
+    _poisson_entries(mu.owner, mu.values, entries)
     return _build(mu.owner, entries)
 
 
-def _mutational_entries(nu, entries):
-    pidx = nu.owner.pair_index
-    for (x, y), v in nu.values.items():
+def _mutational_entries(p, values, entries):
+    pidx = p.pair_index
+    for (x, y), v in values.items():
         kxy = pidx[(x, y)]
         dx, dy = pidx[(x, x)], pidx[(y, y)]
         _accumulate(entries, _table_key(dx, dy), {kxy: v})
@@ -221,7 +240,7 @@ def mutational(nu):
     nu(x,y) e_xy on a minimal-maximal pair, the negated row and column sums
     on the diagonal, zero elsewhere."""
     entries = {}
-    _mutational_entries(nu, entries)
+    _mutational_entries(nu.owner, nu.values, entries)
     return _build(nu.owner, entries)
 
 
@@ -229,18 +248,17 @@ class LambdaMap(algebra.RationalMap):
     """Rational weight on the extreme pairs, total with default 0."""
 
     def _key(self, pair):
-        if pair not in extreme_pairs(self.owner):
+        if not is_extreme_pair(self.owner, pair):
             raise ValueError("(%r, %r) is not an extreme pair" % tuple(pair))
         return pair
 
 
-def _lambda_entries(lam, u0, entries):
-    p = lam.owner
-    p.index(u0)
+def _lambda_entries(p, values, u0, entries):
     pidx = p.pair_index
-    for (x, y), q in lam.values.items():
-        sgn, vset = sign_and_vset(p, u0, (x, y))
-        side = [pidx[(v, v)] for v in vset]
+    order, sides = bridge_sides(p, u0)
+    for (x, y), q in values.items():
+        sgn, lo, hi = sides[(x, y)]
+        side = [pidx[(v, v)] for v in order[lo:hi]]
         kxy = pidx[(x, y)]
         dx, dy = pidx[(x, x)], pidx[(y, y)]
         _accumulate(entries, _table_key(dx, kxy), {kxy: q})
@@ -260,7 +278,7 @@ def lambda_structure(lam, u0):
     and -sgn q e_V is added to both e_x.e_x and e_y.e_y.
     """
     entries = {}
-    _lambda_entries(lam, u0, entries)
+    _lambda_entries(lam.owner, lam.values, u0, entries)
     return _build(lam.owner, entries)
 
 
@@ -293,23 +311,18 @@ def orthogonal(a, b):
     return True
 
 
-def _cleared_rows(table):
-    """The table scaled by the lcm of its denominators, as rows of integers.
+def _cleared(table):
+    """{(i, j): {r: int}}: the table times the lcm of its denominators.
 
-    rows[i][j] is {r: int} for b_i . b_j, stored under both orders.  Scaling
-    every product by one positive constant keeps both axioms' verdicts and
-    witnesses: associativity is homogeneous of degree 2 in the table and the
-    transposed Leibniz rule of degree 1.
+    Scaling every product by one positive constant keeps both axioms'
+    verdicts and witnesses: associativity is homogeneous of degree 2 in the
+    table and the transposed Leibniz rule of degree 1.
     """
     scale = lcm(*(v.denominator for elem in table.values()
                   for v in elem.coeffs.values()))
-    rows = {}
-    for (i, j), elem in table.items():
-        vec = {r: v.numerator * (scale // v.denominator)
-               for r, v in elem.coeffs.items()}
-        rows.setdefault(i, {})[j] = vec
-        rows.setdefault(j, {})[i] = vec
-    return rows
+    return {key: {r: v.numerator * (scale // v.denominator)
+                  for r, v in elem.coeffs.items()}
+            for key, elem in table.items()}
 
 
 def _first_assoc_failure(rows):
@@ -355,6 +368,17 @@ def _first_assoc_failure(rows):
     return None
 
 
+def _pair_ends(p):
+    """({x: [(y, k)]}, {y: [(x, k)]}): the basis pairs b_k = (x, y) by their
+    lower and by their upper end, in basis order."""
+    starts = {x: [] for x in p.elements}
+    ends = {x: [] for x in p.elements}
+    for k, (x, y) in enumerate(p.pairs):
+        starts[x].append((y, k))
+        ends[y].append((x, k))
+    return starts, ends
+
+
 def _first_leibniz_failure(p, rows):
     """Least (z, x, y), x < y, with 2 b_z [b_x, b_y] != [b_z b_x, b_y] +
     [b_x, b_z b_y], or None.
@@ -366,11 +390,7 @@ def _first_leibniz_failure(p, rows):
     (x, y), so it is kept for x < y only.
     """
     pairs, pidx = p.pairs, p.pair_index
-    starts = {x: [] for x in p.elements}
-    ends = {x: [] for x in p.elements}
-    for k, (x, y) in enumerate(pairs):
-        starts[x].append((y, k))
-        ends[y].append((x, k))
+    starts, ends = p.memo("pair_ends", _pair_ends)
     sources = {}    # r -> [(i, j, t)], i < j, with 2 [b_i, b_j] = t b_r
     partners = {}   # k -> [(y, out, sign)] with [b_k, b_y] = sign b_out
     for z in sorted(rows):
@@ -406,20 +426,14 @@ def _first_leibniz_failure(p, rows):
     return None
 
 
-def verify_tp(prod):
-    """Complete, exact axiom report for a commutative product table.
-
-    Checks associativity on every basis triple and the transposed Leibniz
-    rule 2 z.[x,y] = [z.x, y] + [x, z.y] on every basis triple, in integer
-    arithmetic after clearing denominators; commutativity holds by
-    construction (see tp_from_table).  Triples on which both sides vanish
-    are skipped without being enumerated.  The report is
-    {"associative", "transposed_leibniz", "witness"}; the witness is None or
-    the least failing triple of basis pairs in canonical order, associativity
-    first.
-    """
-    p = prod.owner
-    rows = _cleared_rows(prod.table)
+def _sweep(p, table):
+    """The axiom report from the sweeps of every triple over the cleared
+    table (see _cleared), as rows: rows[i][j] is {r: int} for b_i . b_j,
+    stored under both orders."""
+    rows = {}
+    for (i, j), vec in table.items():
+        rows.setdefault(i, {})[j] = vec
+        rows.setdefault(j, {})[i] = vec
     report = {"associative": True, "transposed_leibniz": True, "witness": None}
     for check, triple in (("associative", _first_assoc_failure(rows)),
                           ("transposed_leibniz",
@@ -430,6 +444,79 @@ def verify_tp(prod):
                 report["witness"] = {"check": check, "triple":
                                      tuple(p.pairs[i] for i in triple)}
     return report
+
+
+def verify_tp(prod):
+    """Complete, exact axiom report for a commutative product table.
+
+    The report is {"associative", "transposed_leibniz", "witness"}; the
+    witness is None or the least failing triple of basis pairs in canonical
+    order, associativity first.  Commutativity holds by construction (see
+    tp_from_table).  Two paths give the same report:
+
+    - Certificate (_certified at the first element u): the table equals
+      poisson_type(mu) + mutational(nu) + lambda_structure(lam, u) for the
+      (mu, nu, lam) read off it, mu passes the Poisson-type condition, and
+      sum_{v in V} mu(v, z) = 0 for every side set V of lam's support and
+      every z.  That proves both axioms, so the all-pass report is returned
+      after one pass over the table and one rebuild of it, with no sweep.
+    - Sweep: otherwise associativity and the transposed Leibniz rule
+      2 z.[x,y] = [z.x, y] + [x, z.y] are checked on every basis triple, in
+      integer arithmetic after clearing denominators, skipping without
+      enumerating the triples on which both sides vanish.  It finds the
+      witness, or proves the axioms for a table the certificate missed.
+
+    Why the certificate is sound.  Write D_ab f = f_aa - f_bb and f_ab for
+    the e_ab coefficient.  In closed form the three families are
+      P(f, g) = (sum_xy mu(x,y) f_xx g_yy) delta,  delta the identity,
+      M(f, g) = -sum_ab nu(a,b) D_ab f D_ab g e_ab  over min-max pairs,
+      L(f, g) = sum_e q_e (-s_e D_e f D_e g e_V(e)
+                           + (D_e f g_e + D_e g f_e) e_e)
+    over extreme pairs e with weight q_e, sign s_e and side set V(e).  Two
+    facts carry the argument: D kills delta and every strict element, and
+    a comparable pair (a, b) whose ends lie on two sides of an extreme
+    bridge e is e itself (a chain from a to b must cross the bridge, whose
+    ends are minimal and maximal), so D_ab e_V(e) is -s_e if (a, b) = e
+    and 0 otherwise.
+    - The transposed Leibniz rule is linear in the product, and each family
+      satisfies it: P's values are central and P kills the strict
+      commutators; M and L check out term by term from the forms above
+      (the paper's structure theorem, arXiv 2309.00332, has the three
+      families as transposed Poisson structures).
+    - Associativity: (f.g).h - f.(g.h) for a sum of products is the sum of
+      that expression over every ordered pair (F, G) of families, F applied
+      outermost.  P with itself is the Poisson-type condition, checked.  M
+      with itself vanishes, as M's values are strict.  L with itself is
+      sum_e q_e^2 (-s_e D_e f D_e g D_e h e_V(e) + (D_e f D_e g h_e +
+      D_e g D_e h f_e + D_e h D_e f g_e) e_e), symmetric in f, g, h.
+    - P and M are orthogonal: M kills delta and P kills M's strict values.
+    - P and L are orthogonal once the compatibility condition holds: L
+      kills delta, and the diagonal part of an L value is a combination
+      of the e_V(e), on which P is sum_{v in V(e), z} mu(v,z) h_zz delta = 0.
+    - M and L are not orthogonal (test_lambda_plus_mutational_sums), but
+      their cross terms cancel.  L(M(f,g), h) = -sum_e q_e nu_e D_e f D_e g
+      D_e h e_e is symmetric in f, g, h, so it cancels against
+      L(f, M(g,h)); and M(L(f,g), h) - M(f, L(g,h)) is a sum over min-max
+      pairs (a, b) and extreme pairs e of terms with the factor D_ab e_V(e),
+      nonzero only for (a, b) = e, where the remaining factor
+      D_e f D_e g D_e h - D_e f D_e g D_e h is 0.
+    So only the three checked conditions are needed: nu is read on min-max
+    pairs and lam on extreme pairs only, and the exact comparison with the
+    table makes the read-off itself carry no assumption.  The certificate
+    runs on the table cleared of denominators (see _cleared): a positive
+    multiple of a sum of the three families is the sum of the same
+    multiples, and all three conditions are homogeneous.
+    """
+    return _report(prod.owner, _cleared(prod.table))
+
+
+def _report(p, table):
+    """verify_tp's report on the cleared table: the certificate at the first
+    element, else the sweep."""
+    if _certified(p, table, p.elements[0]):
+        return {"associative": True, "transposed_leibniz": True,
+                "witness": None}
+    return _sweep(p, table)
 
 
 def tp_passes(report):
@@ -450,57 +537,152 @@ class TPDecomposition(object):
         p = self.mu.owner
         if self.nu.owner is not p or self.lam.owner is not p:
             raise OwnerMismatch("products over different posets")
-        entries = {}
-        _poisson_entries(self.mu, entries)
-        _mutational_entries(self.nu, entries)
-        _lambda_entries(self.lam, self.u0, entries)
-        return _build(p, entries)
+        return _build(p, _family_entries(p, self.mu.values, self.nu.values,
+                                         self.lam.values, self.u0))
 
 
-def decompose_tp(prod, u0):
-    """Read (mu, nu, lambda) off a verified product and rebuild it exactly.
+def _family_entries(p, mu, nu, lam, u0):
+    """The three families, from their values, summed into one entries dict."""
+    entries = {}
+    _poisson_entries(p, mu, entries)
+    _mutational_entries(p, nu, entries)
+    _lambda_entries(p, lam, u0, entries)
+    return entries
+
+
+def _in_shape(p, table):
+    """True iff every key of the table has a shape that some sum of the
+    three families gives it: O(nnz), no arithmetic.
+
+    e_x . e_y has outputs on the diagonal (Poisson type, lambda) and on the
+    strict pair between x and y (mutational), e_x . e_x also on strict
+    pairs with an end at x (mutational), and e_x . e_xy or e_y . e_xy, for
+    an extreme pair (x, y), on e_xy only (lambda); every other product of
+    basis vectors is 0.  A table out of shape lies in no such sum, so the
+    certificate stops before any read-off.
+    """
+    pairs = p.pairs
+    for (i, j), coeffs in table.items():
+        a, b = pairs[i]
+        c, d = pairs[j]
+        if a == b and c == d:
+            for r in coeffs:
+                x, y = pairs[r]
+                if x != y and not ((x == a or y == a) if a == c
+                                   else x in (a, c) and y in (a, c)):
+                    return False
+        elif a == b or c == d:
+            w, k = (a, j) if a == b else (c, i)
+            strict = pairs[k]
+            if (w not in strict or not is_extreme_pair(p, strict)
+                    or len(coeffs) != 1 or k not in coeffs):
+                return False
+        else:
+            return False
+    return True
+
+
+def _read_off(p, table, u0):
+    """(mu, nu, lambda) values read off a table {(i, j): {r: v}} at base
+    point u0, in one pass over its keys.
 
     lambda(x,y) is the e_xy coefficient of e_x . e_xy on extreme pairs,
     nu(x,y) the e_xy coefficient of e_x . e_y on minimal-maximal pairs, and
-    mu(x,y) the (u0,u0) entry of e_x . e_y.  The lambda structure rebuilt
-    at this same u0 contributes nothing at (u0,u0), so the mu read-off is
-    exact and the three parts sum back to the input table; mu is not
-    gated on the standalone condition (see MuMap).
+    mu(x,y) the (u0,u0) coefficient of e_x . e_y.  A lambda structure based
+    at u0 contributes nothing at (u0,u0), so for a table in the span of the
+    three families at u0 the read-off is exact.
+    """
+    pairs, pidx = p.pairs, p.pair_index
+    du = pidx[(u0, u0)]
+    minmax = algebra.minmax_pair_set(p)
+    mu, nu, lam = {}, {}, {}
+    for (i, j), coeffs in table.items():
+        (a, b), (c, d) = pairs[i], pairs[j]
+        if a == b and c == d:
+            v = coeffs.get(du)
+            if v:
+                mu[(a, c)] = v
+            pair = (a, c) if (a, c) in minmax else (c, a)
+            if pair in minmax:
+                v = coeffs.get(pidx[pair])
+                if v:
+                    nu[pair] = v
+        elif a == b or c == d:
+            w, k = (a, j) if a == b else (c, i)
+            pair = pairs[k]
+            if w == pair[0] and is_extreme_pair(p, pair):
+                v = coeffs.get(k)
+                if v:
+                    lam[pair] = v
+    return mu, nu, lam
+
+
+def _compatible(p, mu, lam, u0):
+    """sum_{v in V} mu(v, z) = 0 for every side set V of lambda's support
+    and every z, summed over mu's nonzero values only."""
+    if not mu or not lam:
+        return True
+    order, sides = bridge_sides(p, u0)
+    for pair in lam:
+        _sgn, lo, hi = sides[pair]
+        side = set(order[lo:hi])
+        sums = {}
+        for (a, b), v in mu.items():
+            if a in side:
+                sums[b] = sums.get(b, 0) + v
+            if b in side and a != b:
+                sums[a] = sums.get(a, 0) + v
+        if any(sums.values()):
+            return False
+    return True
+
+
+def _rebuilds(p, table, parts, u0):
+    """True iff the three families with values parts = (mu, nu, lam) sum to
+    the table {(i, j): {r: v}}, compared key by key."""
+    entries = _family_entries(p, *parts, u0)
+    return {key: c for key, c in entries.items() if c} == table
+
+
+def _certified(p, table, u0):
+    """True iff the certificate at u0 proves the cleared table (see
+    _cleared) transposed Poisson (see verify_tp).  The steps run cheapest
+    first: the shape, the read-off, the mu condition, the compatibility
+    with lambda, the rebuild."""
+    if not _in_shape(p, table):
+        return False
+    parts = _read_off(p, table, u0)
+    mu, _nu, lam = parts
+    return (_mu_condition_holds(p, mu) and _compatible(p, mu, lam, u0)
+            and _rebuilds(p, table, parts, u0))
+
+
+def decompose_tp(prod, u0):
+    """Read (mu, nu, lambda) off a transposed Poisson product at u0 (see
+    _read_off) and rebuild it exactly.
+
+    A certificate at u0 (see verify_tp) proves the table transposed Poisson
+    and rebuilds it in one pass, with no sweep.  Otherwise verify_tp's
+    report proves it or is raised with NotTransposedPoisson, and the
+    read-off at u0 is rebuilt and compared; it is exact even where the mu
+    read there fails the standalone condition (see
+    test_rebasing_shifts_mu_by_zero_row_sums), so mu is not gated on it
+    (see MuMap).  The values returned are the table's own coefficients.
     """
     p = prod.owner
     p.index(u0)
-    report = verify_tp(prod)
-    if not tp_passes(report):
-        raise NotTransposedPoisson(report)
-    table, pidx = prod.table, p.pair_index
-
-    def coeff(left, right, out):
-        elem = table.get(_table_key(pidx[left], pidx[right]))
-        return None if elem is None else elem.coeffs.get(pidx[out])
-
-    lam_vals = {}
-    for (x, y) in extreme_pairs(p):
-        v = coeff((x, x), (x, y), (x, y))
-        if v:
-            lam_vals[(x, y)] = v
-    nu_vals = {}
-    for (x, y) in algebra.minmax_pairs(p):
-        v = coeff((x, x), (y, y), (x, y))
-        if v:
-            nu_vals[(x, y)] = v
-    mu_vals = {}
-    n = len(p.elements)
-    for i in range(n):
-        for j in range(i, n):
-            x, y = p.elements[i], p.elements[j]
-            v = coeff((x, x), (y, y), (u0, u0))
-            if v:
-                mu_vals[(x, y)] = v
-    mu = MuMap(p, mu_vals, check=False)
-    dec = TPDecomposition(mu, NuElement(p, nu_vals), LambdaMap(p, lam_vals), u0)
-    if dec.reconstruct() != prod:
-        raise ReconstructionMismatch("decomposition failed to rebuild the product")
-    return dec
+    table = _cleared(prod.table)
+    if not _certified(p, table, u0):
+        report = _report(p, table)
+        if not tp_passes(report):
+            raise NotTransposedPoisson(report)
+        if not _rebuilds(p, table, _read_off(p, table, u0), u0):
+            raise ReconstructionMismatch(
+                "decomposition failed to rebuild the product")
+    mu, nu, lam = _read_off(
+        p, {key: elem.coeffs for key, elem in prod.table.items()}, u0)
+    return TPDecomposition(MuMap(p, mu, check=False), NuElement(p, nu),
+                           LambdaMap(p, lam), u0)
 
 
 def normalize_nu(dec):
@@ -522,8 +704,13 @@ def transport_product(prod, scales):
     value, are carried over as they are.
     """
     p = prod.owner
-    s = {p.pair_index[pair]: algebra.as_rational(v)
-         for pair, v in scales.items()}
+    s = {}
+    for pair, v in scales.items():
+        v = algebra.as_rational(v)
+        if not v:
+            raise ParseError("scale factor for %r is 0, which is not an "
+                             "automorphism" % (pair,))
+        s[p.pair_index[pair]] = v
     one = Fraction(1)
     table = {}
     for (i, j), elem in prod.table.items():

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from lietp import cli
-from lietp.errors import GoldenMismatch
+from lietp import algebra, cli, poset
+from lietp.errors import GoldenMismatch, ParseError
 
 
 def run_cli(capsys, *argv):
@@ -253,6 +253,50 @@ def test_tp_rejects_non_string_u0(capsys, data_dir, tmp_path):
                         str(dfile))
         assert err == {"type": "ParseError",
                        "detail": "u0 must be an element label, got ['1']"}
+
+
+def _cell(left, right, product):
+    return {"left": {"from": left[0], "to": left[1]},
+            "right": {"from": right[0], "to": right[1]},
+            "product": [{"from": x, "to": y, "numerator": n, "denominator": 1}
+                        for x, y, n in product]}
+
+
+def test_tp_rejects_a_product_that_repeats_a_pair(capsys, data_dir, tmp_path):
+    # e_1.2 listed twice, with 1 and -1, used to read as a zero product
+    chain2 = str(data_dir / "chain2.poset")
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"table": [_cell(
+        ("1", "1"), ("2", "2"), [("1", "2", 1), ("1", "2", -1)])]}))
+    for mode in ("verify", "decompose"):
+        err = _rejected(capsys, "tp", mode, chain2, str(table))
+        assert err["type"] == "ParseError"
+        assert "repeats the pair ('1', '2')" in err["detail"]
+    p = poset.parse_poset((data_dir / "chain2.poset").read_text())
+    with pytest.raises(ParseError):
+        algebra.from_records(p, [{"from": "1", "to": "2", "numerator": 1,
+                                  "denominator": 1}] * 2)
+
+
+def test_tp_rejects_a_table_that_repeats_a_product(capsys, data_dir,
+                                                   tmp_path):
+    chain2 = str(data_dir / "chain2.poset")
+    once = _cell(("1", "1"), ("2", "2"), [("1", "2", 1)])
+    again = _cell(("1", "1"), ("2", "2"), [("1", "2", 1)])
+    transposed = _cell(("2", "2"), ("1", "1"), [("1", "2", 1)])
+    for rows in ([once, again], [once, transposed]):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"table": rows}))
+        for mode in ("verify", "decompose"):
+            err = _rejected(capsys, "tp", mode, chain2, str(table))
+            assert err["type"] == "ParseError"
+            assert "is given twice" in err["detail"]
+    # each row alone is a valid mutational table
+    table.write_text(json.dumps({"table": [
+        once, _cell(("1", "1"), ("1", "1"), [("1", "2", -1)]),
+        _cell(("2", "2"), ("2", "2"), [("1", "2", -1)])]}))
+    rc, rep = run_cli(capsys, "tp", "verify", chain2, str(table))
+    assert rc == 0 and rep["verify"]["witness"] is None
 
 
 def test_poset_file_rejects_repeated_cover(capsys, tmp_path):

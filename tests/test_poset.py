@@ -312,6 +312,42 @@ def test_combinatorics_computed_once_per_poset(monkeypatch, data_dir):
     assert set(calls.values()) == {1}
 
 
+def _fence(n):
+    """Zigzag f0 < f1 > f2 < f3 ...: a path whose every cover is extreme."""
+    labels = ["f%d" % i for i in range(n)]
+    return build_poset(labels, [
+        (labels[i], labels[i + 1]) if i % 2 == 0 else (labels[i + 1], labels[i])
+        for i in range(n - 1)])
+
+
+def _reference_sign_and_vset(p, u0, pair):
+    """Two breadth-first searches with the bridge removed."""
+    x, y = pair
+    side_x = poset._component_of(p, x, {x, y})
+    if u0 in side_x:
+        return 1, frozenset(poset._component_of(p, y, {x, y}))
+    return -1, frozenset(side_x)
+
+
+def test_side_sets_match_component_search(data_dir):
+    rng = random.Random(6)
+    posets = list(full_catalog()) + list(data_catalog(data_dir).values())
+    posets += [_fence(n) for n in (2, 3, 8, 33, 128)]
+    posets += [random_connected_poset(rng, rng.randint(6, 40)) for _ in range(40)]
+    seen = 0
+    for p in posets:
+        bases = p.elements if len(p.elements) <= 40 else p.elements[::9]
+        for u0 in bases:
+            order, sides = poset.bridge_sides(p, u0)
+            assert sorted(order) == sorted(p.elements)
+            assert list(sides) == extreme_pairs(p)
+            for pair in extreme_pairs(p):
+                got = sign_and_vset(p, u0, pair)
+                assert got == _reference_sign_and_vset(p, u0, pair)
+                seen += 1
+    assert seen > 4000
+
+
 def test_returned_values_do_not_alias_the_cache(zigzag):
     p = zigzag
     before = (extreme_pairs(p), pair_classes(p).classes, min_max(p),

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (MU_KINDS, BruteForce, chain, corrupted, data_catalog,
-                     full_catalog, random_connected_poset, random_raw_mu,
-                     reference_mu_condition, reference_orthogonal,
-                     reference_poisson_type, reference_verify,
-                     same_components)
+                     full_catalog, random_central, random_connected_poset,
+                     random_fraction, random_raw_mu, reference_mu_condition,
+                     reference_orthogonal, reference_poisson_type,
+                     reference_verify, same_components)
+from lietp import tpstruct
 from lietp.algebra import (commutator, diag_unit, element, identity,
                            minmax_pairs, unit)
 from lietp.errors import (MuNotAssociative, NotCentralInCommutator,
-                          NotTransposedPoisson)
+                          NotTransposedPoisson, ParseError)
 from lietp.halfder import (central_from_element, inner, is_half_derivation,
                            operator_from_images, phi_sigma, sigma_from_map,
                            zero_operator)
@@ -429,6 +430,107 @@ def test_verify_matches_brute_force_on_catalog():
     assert kinds == {None, "associative", "transposed_leibniz"}
 
 
+# --- the certificate path of verify_tp and decompose_tp ----------------------
+
+def _soundness_tables(p, rng, seed):
+    """A random_tp draw; for every MU_KINDS a symmetric mu, unchecked, with
+    random nu and lambda based at a random element; two corrupted copies."""
+    good = random_tp(p, seed)
+    tables = [good]
+    for kind in MU_KINDS:
+        lam = LambdaMap(p, {pr: random_fraction(rng)
+                            for pr in extreme_pairs(p) if rng.random() < 0.7})
+        tables.append(TPDecomposition(
+            MuMap(p, random_raw_mu(p, rng, kind), check=False),
+            random_central(p, rng), lam, rng.choice(p.elements)).reconstruct())
+    if good.table:
+        tables += [corrupted(good, rng), corrupted(good, rng)]
+    return tables
+
+
+def _check_certificate(prod, reference):
+    """The certificate at every base point accepts only tables the reference
+    passes, and rebuilds them; verify_tp and decompose_tp agree with the
+    reference.  Returns the base points where the certificate accepts."""
+    p = prod.owner
+    passes = tp_passes(reference)
+    accepted = []
+    for u0 in p.elements:
+        if tpstruct._certified(p, tpstruct._cleared(prod.table), u0):
+            assert passes, (p.covers, u0, reference)
+            assert decompose_tp(prod, u0).reconstruct() == prod
+            accepted.append(u0)
+    assert verify_tp(prod) == reference
+    if not passes:
+        with pytest.raises(NotTransposedPoisson) as exc:
+            decompose_tp(prod, p.elements[-1])
+        assert exc.value.report == verify_tp(prod)
+    return accepted
+
+
+def test_certificate_never_accepts_a_rejected_table():
+    # the reference is the sweep, and on the catalog also the brute-force
+    # verifier wherever the certificate accepts; the random_tp draws there
+    # are test_verify_matches_brute_force_on_catalog's, which checks them
+    counts = {"tables": 0, "tp": 0, "accepted": 0}
+    rng = random.Random(12)
+    posets = [(p, True) for p in CATALOG] + [
+        (random_connected_poset(rng, rng.randint(6, 8),
+                                dense=rng.random() < 0.5), False)
+        for _ in range(20)]
+    for k, (p, brute) in enumerate(posets):
+        for t, prod in enumerate(_soundness_tables(p, rng, k)):
+            reference = tpstruct._sweep(p, tpstruct._cleared(prod.table))
+            accepted = _check_certificate(prod, reference)
+            if brute and accepted and t > 0:
+                assert reference_verify(prod) == reference
+            # every family draw is certified where it was built
+            assert t > 0 or p.elements[0] in accepted
+            counts["tables"] += 1
+            counts["tp"] += tp_passes(reference)
+            counts["accepted"] += bool(accepted)
+    # so are most of the other transposed Poisson tables, at some base point
+    assert counts["tp"] > counts["accepted"] > counts["tp"] * 0.9
+    assert counts["tables"] > 2 * counts["tp"]
+
+
+def test_certificate_rejects_out_of_shape_tables(vee):
+    table = tpstruct._cleared(random_tp(vee, seed=4).table)
+    assert tpstruct._in_shape(vee, table)
+    d1, e12, d2, d3 = (vee.pair_index[pr] for pr in (
+        ("1", "1"), ("1", "2"), ("2", "2"), ("3", "3")))
+    # two strict factors; a diagonal factor times a strict one with another
+    # output; e_2 . e_3 with an output on a pair that does not join 2 and 3
+    for key, coeffs in (((e12, e12), {e12: 1}), ((d1, e12), {d1: 1}),
+                        ((d2, d3), {e12: 1})):
+        bad = dict(table)
+        bad[key] = coeffs
+        assert not tpstruct._in_shape(vee, bad)
+
+
+def test_decompose_runs_no_sweep_on_a_certified_table(monkeypatch, branch4):
+    prod = random_tp(branch4, seed=9)
+    expected = decompose_tp(prod, "1")
+    rebuilds = []
+
+    def no_sweep(*_args):
+        raise AssertionError("swept a certified table")
+
+    def counted(*args):
+        rebuilds.append(args)
+        return original(*args)
+
+    original = tpstruct._rebuilds
+    monkeypatch.setattr(tpstruct, "_sweep", no_sweep)
+    monkeypatch.setattr(tpstruct, "_rebuilds", counted)
+    assert tp_passes(verify_tp(prod))
+    del rebuilds[:]
+    dec = decompose_tp(prod, "1")
+    assert len(rebuilds) == 1
+    assert (dec.mu, dec.nu, dec.lam) == (expected.mu, expected.nu,
+                                         expected.lam)
+
+
 # --- random generation, decomposition, normalization -------------------------
 
 def test_random_tp_is_deterministic(branch4):
@@ -524,3 +626,9 @@ def test_normalize_nu_random(seed, pidx):
     transported = transport_product(dec.reconstruct(), scales)
     assert transported == norm.reconstruct()
     assert tp_passes(verify_tp(transported))
+
+
+def test_transport_refuses_a_zero_scale(chain2):
+    prod = mutational(NuElement(chain2, {("1", "2"): 1}))
+    with pytest.raises(ParseError, match=r"\('1', '1'\)"):
+        transport_product(prod, {("1", "1"): 0})
