@@ -7,6 +7,7 @@ equality is structural equality.
 
 import numbers
 from fractions import Fraction
+from math import lcm
 
 from .errors import OwnerMismatch, ParseError, UnknownElement
 
@@ -48,6 +49,16 @@ def add_scaled(acc, vec, c=1):
         else:
             del acc[k]
     return acc
+
+
+def cleared(vectors):
+    """{key: {r: int}}: the sparse vectors {key: {r: Fraction}} times the
+    lcm of all their denominators, one positive constant for all of them."""
+    scale = lcm(*(v.denominator for vec in vectors.values()
+                  for v in vec.values()))
+    return {key: {r: v.numerator * (scale // v.denominator)
+                  for r, v in vec.items()}
+            for key, vec in vectors.items()}
 
 
 class RationalMap(object):

@@ -2,10 +2,12 @@
 
 A linear operator phi is a half-derivation when
     2 phi([f, g]) = [phi(f), g] + [f, phi(g)]
-for all f, g. The module provides the three canonical constructor families
-(inner, central-valued, diagonality-preserving from an admissible sigma),
-a brute-force nullspace solver for the whole space, and the unique
-(c, sigma, kappa) decomposition relative to a base element u0.
+for all f, g. The module provides the sparse integer check of that
+identity (which verify_tp's sweep also runs, on every left multiplication),
+the three canonical constructor families (inner, central-valued,
+diagonality-preserving from an admissible sigma), a brute-force nullspace
+solver for the whole space, and the unique (c, sigma, kappa) decomposition
+relative to a base element u0.
 """
 
 from collections import deque
@@ -104,8 +106,8 @@ def unit_brackets(p):
     """Structure constants of the Lie bracket on basis pairs.
 
     Returns {(i, j): {k: integer coefficient}} for [b_i, b_j], storing only
-    nonzero brackets: [e_ab, e_cd] = (b=c) e_ad - (d=a) e_cb.  The checkers
-    below compute it once per poset through Poset.memo.
+    nonzero brackets: [e_ab, e_cd] = (b=c) e_ad - (d=a) e_cb.  The nullspace
+    oracle computes it once per poset through Poset.memo.
     """
     pairs, pidx = p.pairs, p.pair_index
     brackets = {}
@@ -125,48 +127,79 @@ def unit_brackets(p):
     return brackets
 
 
-def _comm_with_unit(p, coeffs, unit_pair):
-    """Sparse [f, e_cd] for f given as {pair index: Fraction}."""
-    c, d = unit_pair
+def _pair_ends(p):
+    """({x: [(y, k)]}, {y: [(x, k)]}): the basis pairs b_k = (x, y) by their
+    lower and by their upper end, in basis order."""
+    starts = {x: [] for x in p.elements}
+    ends = {x: [] for x in p.elements}
+    for k, (x, y) in enumerate(p.pairs):
+        starts[x].append((y, k))
+        ends[y].append((x, k))
+    return starts, ends
+
+
+def _first_halfder_failure(p, operators):
+    """Least (z, x, y), x < y, with 2 L_z[b_x, b_y] != [L_z b_x, b_y] +
+    [b_x, L_z b_y], or None, for integer operators {z: {x: {r: int}}} given
+    by their nonzero columns L_z b_x.
+
+    For each z the defect (left side minus right side) is accumulated per
+    (x, y, output) from the nonzero terms only: [b_x, b_y] = +-b_(u,w)
+    exactly for {x, y} = {(u,m), (m,w)}, and [b_(a,b), b_y] is b_(a,d) for
+    y = (b,d) and -b_(c,b) for y = (c,a).  The defect is antisymmetric in
+    (x, y), so it is kept for x < y only.
+    """
     pairs, pidx = p.pairs, p.pair_index
-    res = {}
-    for k, v in coeffs.items():
-        a, b = pairs[k]
-        if b == c:
-            i = pidx[(a, d)]
-            res[i] = res.get(i, 0) + v
-        if a == d:
-            i = pidx[(c, b)]
-            res[i] = res.get(i, 0) - v
-    return {k: v for k, v in res.items() if v}
+    starts, ends = p.memo("pair_ends", _pair_ends)
+    sources = {}    # r -> [(i, j, t)], i < j, with 2 [b_i, b_j] = t b_r
+    partners = {}   # k -> [(y, out, sign)] with [b_k, b_y] = sign b_out
+    for z in sorted(operators):
+        defect = {}
+        for r, vec in operators[z].items():
+            if r not in sources:
+                u, w = pairs[r]
+                sources[r] = []
+                for m, i in starts[u] if u != w else ():
+                    j = pidx.get((m, w))
+                    if j is not None:
+                        sources[r].append((i, j, 2) if i < j else (j, i, -2))
+            for i, j, t in sources[r]:
+                for k, v in vec.items():
+                    key = (i, j, k)
+                    defect[key] = defect.get(key, 0) + t * v
+        for x, vec in operators[z].items():
+            for k, v in vec.items():
+                if k not in partners:
+                    a, b = pairs[k]
+                    partners[k] = ([(y, pidx[(a, d)], 1) for d, y in starts[b]]
+                                   + [(y, pidx[(c, b)], -1) for c, y in ends[a]])
+                for y, out, sign in partners[k]:
+                    if x < y:
+                        key = (x, y, out)
+                        defect[key] = defect.get(key, 0) - sign * v
+                    elif y < x:
+                        key = (y, x, out)
+                        defect[key] = defect.get(key, 0) + sign * v
+        bad = [key for key, v in defect.items() if v]
+        if bad:
+            return (z,) + min(bad)[:2]
+    return None
 
 
 def is_half_derivation(op):
     """Check the defining identity on all unordered basis pairs.
 
     Returns (True, None) or (False, first violating pair of basis pairs)
-    in canonical order.
+    in canonical order.  The check is _first_halfder_failure on the columns
+    cleared of denominators; the identity is homogeneous of degree 1 in
+    the operator, so that keeps both the verdict and the witness.
     """
     p = op.owner
-    pairs = p.pairs
-    B = len(pairs)
-    cols = op.columns
-    brackets = p.memo("unit_brackets", unit_brackets)
-    nonzero = {j for j in range(B) if cols[j]}
-    for i in range(B):
-        for j in range(i + 1, B):
-            br = brackets.get((i, j))
-            if i not in nonzero and j not in nonzero:
-                if br is None or not any(r in nonzero for r in br):
-                    continue
-            lhs = {}
-            for r, s in (br or {}).items():
-                algebra.add_scaled(lhs, cols[r], 2 * s)
-            rhs = algebra.add_scaled(_comm_with_unit(p, cols[i], pairs[j]),
-                                     _comm_with_unit(p, cols[j], pairs[i]), -1)
-            if lhs != rhs:
-                return False, (pairs[i], pairs[j])
-    return True, None
+    cols = algebra.cleared({x: col for x, col in enumerate(op.columns) if col})
+    failure = _first_halfder_failure(p, {0: cols})
+    if failure is None:
+        return True, None
+    return False, (p.pairs[failure[1]], p.pairs[failure[2]])
 
 
 class CentralElement(algebra.RationalMap):

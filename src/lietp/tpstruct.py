@@ -9,11 +9,10 @@ and nu-normalization by a diagonal basis rescaling.
 
 import random
 from fractions import Fraction
-from math import lcm
 
 from . import algebra, halfder
 from .errors import (MuNotAssociative, NotTransposedPoisson, OwnerMismatch,
-                     ParseError, ReconstructionMismatch)
+                     ParseError, ReconstructionMismatch, UnknownElement)
 from .poset import bridge_sides, extreme_pairs, is_extreme_pair, sign_and_vset
 
 NuElement = halfder.CentralElement
@@ -311,20 +310,6 @@ def orthogonal(a, b):
     return True
 
 
-def _cleared(table):
-    """{(i, j): {r: int}}: the table times the lcm of its denominators.
-
-    Scaling every product by one positive constant keeps both axioms'
-    verdicts and witnesses: associativity is homogeneous of degree 2 in the
-    table and the transposed Leibniz rule of degree 1.
-    """
-    scale = lcm(*(v.denominator for elem in table.values()
-                  for v in elem.coeffs.values()))
-    return {key: {r: v.numerator * (scale // v.denominator)
-                  for r, v in elem.coeffs.items()}
-            for key, elem in table.items()}
-
-
 def _first_assoc_failure(rows):
     """Least (a, b, c) with (b_a b_b) b_c != b_a (b_b b_c), or None.
 
@@ -368,68 +353,16 @@ def _first_assoc_failure(rows):
     return None
 
 
-def _pair_ends(p):
-    """({x: [(y, k)]}, {y: [(x, k)]}): the basis pairs b_k = (x, y) by their
-    lower and by their upper end, in basis order."""
-    starts = {x: [] for x in p.elements}
-    ends = {x: [] for x in p.elements}
-    for k, (x, y) in enumerate(p.pairs):
-        starts[x].append((y, k))
-        ends[y].append((x, k))
-    return starts, ends
-
-
-def _first_leibniz_failure(p, rows):
-    """Least (z, x, y), x < y, with 2 b_z [b_x, b_y] != [b_z b_x, b_y] +
-    [b_x, b_z b_y], or None.
-
-    For each z the defect (left side minus right side) is accumulated per
-    (x, y, output) from the nonzero terms only: [b_x, b_y] = +-b_(u,w)
-    exactly for {x, y} = {(u,m), (m,w)}, and [b_(a,b), b_y] is b_(a,d) for
-    y = (b,d) and -b_(c,b) for y = (c,a).  The defect is antisymmetric in
-    (x, y), so it is kept for x < y only.
-    """
-    pairs, pidx = p.pairs, p.pair_index
-    starts, ends = p.memo("pair_ends", _pair_ends)
-    sources = {}    # r -> [(i, j, t)], i < j, with 2 [b_i, b_j] = t b_r
-    partners = {}   # k -> [(y, out, sign)] with [b_k, b_y] = sign b_out
-    for z in sorted(rows):
-        defect = {}
-        for r, vec in rows[z].items():
-            if r not in sources:
-                u, w = pairs[r]
-                sources[r] = []
-                for m, i in starts[u] if u != w else ():
-                    j = pidx.get((m, w))
-                    if j is not None:
-                        sources[r].append((i, j, 2) if i < j else (j, i, -2))
-            for i, j, t in sources[r]:
-                for k, v in vec.items():
-                    key = (i, j, k)
-                    defect[key] = defect.get(key, 0) + t * v
-        for x, vec in rows[z].items():
-            for k, v in vec.items():
-                if k not in partners:
-                    a, b = pairs[k]
-                    partners[k] = ([(y, pidx[(a, d)], 1) for d, y in starts[b]]
-                                   + [(y, pidx[(c, b)], -1) for c, y in ends[a]])
-                for y, out, sign in partners[k]:
-                    if x < y:
-                        key = (x, y, out)
-                        defect[key] = defect.get(key, 0) - sign * v
-                    elif y < x:
-                        key = (y, x, out)
-                        defect[key] = defect.get(key, 0) + sign * v
-        bad = [key for key, v in defect.items() if v]
-        if bad:
-            return (z,) + min(bad)[:2]
-    return None
-
-
 def _sweep(p, table):
-    """The axiom report from the sweeps of every triple over the cleared
-    table (see _cleared), as rows: rows[i][j] is {r: int} for b_i . b_j,
-    stored under both orders."""
+    """The axiom report from the sweeps of every triple over the table
+    cleared of denominators, as rows: rows[i][j] is {r: int} for b_i . b_j,
+    stored under both orders.  The transposed Leibniz rule says that every
+    left multiplication, rows[z] as an operator, is a half-derivation.
+
+    Scaling every product by one positive constant keeps both axioms'
+    verdicts and witnesses: associativity is homogeneous of degree 2 in the
+    table and the transposed Leibniz rule of degree 1.
+    """
     rows = {}
     for (i, j), vec in table.items():
         rows.setdefault(i, {})[j] = vec
@@ -437,7 +370,7 @@ def _sweep(p, table):
     report = {"associative": True, "transposed_leibniz": True, "witness": None}
     for check, triple in (("associative", _first_assoc_failure(rows)),
                           ("transposed_leibniz",
-                           _first_leibniz_failure(p, rows))):
+                           halfder._first_halfder_failure(p, rows))):
         if triple is not None:
             report[check] = False
             if report["witness"] is None:
@@ -503,11 +436,12 @@ def verify_tp(prod):
     So only the three checked conditions are needed: nu is read on min-max
     pairs and lam on extreme pairs only, and the exact comparison with the
     table makes the read-off itself carry no assumption.  The certificate
-    runs on the table cleared of denominators (see _cleared): a positive
-    multiple of a sum of the three families is the sum of the same
+    runs on the table cleared of denominators (see algebra.cleared): a
+    positive multiple of a sum of the three families is the sum of the same
     multiples, and all three conditions are homogeneous.
     """
-    return _report(prod.owner, _cleared(prod.table))
+    return _report(prod.owner, algebra.cleared(
+        {key: elem.coeffs for key, elem in prod.table.items()}))
 
 
 def _report(p, table):
@@ -645,8 +579,8 @@ def _rebuilds(p, table, parts, u0):
 
 
 def _certified(p, table, u0):
-    """True iff the certificate at u0 proves the cleared table (see
-    _cleared) transposed Poisson (see verify_tp).  The steps run cheapest
+    """True iff the certificate at u0 proves the table, cleared of
+    denominators, transposed Poisson (see verify_tp).  The steps run cheapest
     first: the shape, the read-off, the mu condition, the compatibility
     with lambda, the rebuild."""
     if not _in_shape(p, table):
@@ -671,7 +605,8 @@ def decompose_tp(prod, u0):
     """
     p = prod.owner
     p.index(u0)
-    table = _cleared(prod.table)
+    coeffs = {key: elem.coeffs for key, elem in prod.table.items()}
+    table = algebra.cleared(coeffs)
     if not _certified(p, table, u0):
         report = _report(p, table)
         if not tp_passes(report):
@@ -679,8 +614,7 @@ def decompose_tp(prod, u0):
         if not _rebuilds(p, table, _read_off(p, table, u0), u0):
             raise ReconstructionMismatch(
                 "decomposition failed to rebuild the product")
-    mu, nu, lam = _read_off(
-        p, {key: elem.coeffs for key, elem in prod.table.items()}, u0)
+    mu, nu, lam = _read_off(p, coeffs, u0)
     return TPDecomposition(MuMap(p, mu, check=False), NuElement(p, nu),
                            LambdaMap(p, lam), u0)
 
@@ -710,7 +644,10 @@ def transport_product(prod, scales):
         if not v:
             raise ParseError("scale factor for %r is 0, which is not an "
                              "automorphism" % (pair,))
-        s[p.pair_index[pair]] = v
+        k = p.pair_index.get(pair)
+        if k is None:
+            raise UnknownElement("%r is not a comparable pair" % (pair,))
+        s[k] = v
     one = Fraction(1)
     table = {}
     for (i, j), elem in prod.table.items():

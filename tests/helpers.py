@@ -11,8 +11,9 @@ from itertools import permutations, product
 
 from lietp import algebra, poset, tpstruct
 from lietp.errors import LietpError
-from lietp.halfder import (CentralElement, KappaMap, SigmaMap, central_valued,
-                           inner, phi_sigma, walk_functionals)
+from lietp.halfder import (CentralElement, KappaMap, LinearOperator, SigmaMap,
+                           central_valued, inner, phi_sigma, unit_brackets,
+                           walk_functionals)
 from lietp.poset import (blocks_and_bridges, build_poset, enumerate_cycles,
                          pair_classes, walk_between)
 
@@ -159,6 +160,32 @@ def random_half_derivation(p, rng, u0=None):
     return op, c, sigma, kappa, u0
 
 
+def plus_one(op, rng):
+    """Copy of the operator with 1 added to one random matrix entry."""
+    B = len(op.columns)
+    cols = [dict(col) for col in op.columns]
+    j, r = rng.randrange(B), rng.randrange(B)
+    cols[j][r] = cols[j].get(r, 0) + 1
+    if not cols[j][r]:
+        del cols[j][r]
+    return LinearOperator(op.owner, cols)
+
+
+def operator_document(op):
+    """The operator as a `lietp decompose` input: one image per nonzero
+    column."""
+    p = op.owner
+    return {"images": [
+        {"from": x, "to": y, "image": algebra.to_records(op.column(k))}
+        for k, (x, y) in enumerate(p.pairs) if op.columns[k]]}
+
+
+def poset_text(p):
+    """The poset in the `.poset` file format."""
+    return "elements: %s\n%s" % (" ".join(p.elements), "".join(
+        "%s < %s\n" % cover for cover in p.covers))
+
+
 def random_element(p, rng):
     return algebra.element(
         p, {pr: random_fraction(rng) for pr in p.pairs if rng.random() < 0.5})
@@ -178,6 +205,50 @@ def walk_diag_value(sigma, walk, x):
     """Walk formula for the diagonal of phi_sigma: -s+ + s- - t+ + t-."""
     sp, sm, tp, tm = walk_functionals(sigma, walk, x)
     return -sp + sm - tp + tm
+
+
+# --- brute-force half-derivation check ---------------------------------------
+
+def _comm_with_unit(p, coeffs, unit_pair):
+    """Sparse [f, e_cd] for f given as {pair index: Fraction}."""
+    c, d = unit_pair
+    pairs, pidx = p.pairs, p.pair_index
+    res = {}
+    for k, v in coeffs.items():
+        a, b = pairs[k]
+        if b == c:
+            i = pidx[(a, d)]
+            res[i] = res.get(i, 0) + v
+        if a == d:
+            i = pidx[(c, b)]
+            res[i] = res.get(i, 0) - v
+    return {k: v for k, v in res.items() if v}
+
+
+def reference_is_half_derivation(op):
+    """is_half_derivation by a scan of every unordered basis pair (i, j),
+    in Fractions, from the bracket table: (True, None) or (False, the first
+    violating pair of basis pairs)."""
+    p = op.owner
+    pairs = p.pairs
+    B = len(pairs)
+    cols = op.columns
+    brackets = p.memo("unit_brackets", unit_brackets)
+    nonzero = {j for j in range(B) if cols[j]}
+    for i in range(B):
+        for j in range(i + 1, B):
+            br = brackets.get((i, j))
+            if i not in nonzero and j not in nonzero:
+                if br is None or not any(r in nonzero for r in br):
+                    continue
+            lhs = {}
+            for r, s in (br or {}).items():
+                algebra.add_scaled(lhs, cols[r], 2 * s)
+            rhs = algebra.add_scaled(_comm_with_unit(p, cols[i], pairs[j]),
+                                     _comm_with_unit(p, cols[j], pairs[i]), -1)
+            if lhs != rhs:
+                return False, (pairs[i], pairs[j])
+    return True, None
 
 
 # --- brute-force routes for the combinatorics -------------------------------

@@ -5,15 +5,18 @@ are asserted where a guarantee carries one; everything else is exact
 equality of rationals, so there are no tolerances anywhere.
 """
 
+import json
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
-from helpers import (brute_extreme_pairs, brute_pair_classes, full_catalog,
+from helpers import (brute_extreme_pairs, brute_pair_classes, chain,
+                     full_catalog, operator_document, poset_text,
                      random_admissible_sigma, random_connected_poset,
-                     random_walk, same_components, walk_diag_value)
+                     random_half_derivation, random_walk, same_components,
+                     walk_diag_value)
 from lietp import algebra, cli
 from lietp.halfder import (decompose, half_derivation_space,
                            is_half_derivation, operator_from_images,
@@ -139,3 +142,25 @@ def test_criterion_8_nu_normalization():
         assert transported == norm.reconstruct()
         assert tp_passes(verify_tp(transported))
     assert nonzero > 100
+
+
+def test_criterion_9_decompose_chain48_in_half_a_second(tmp_path):
+    p = chain(48)
+    op = random_half_derivation(p, random.Random(48), u0="1")[0]
+    bad = op + operator_from_images(p, {("1", "2"): algebra.diag_unit(p, "1")})
+    (tmp_path / "chain48.poset").write_text(poset_text(p))
+    runs = []
+    for name, operator in (("op.json", op), ("bad.json", bad)):
+        (tmp_path / name).write_text(json.dumps(operator_document(operator)))
+        start = time.perf_counter()
+        res = subprocess.run([sys.executable, "-m", "lietp.cli", "decompose",
+                              str(tmp_path / "chain48.poset"),
+                              str(tmp_path / name)],
+                             capture_output=True, text=True)
+        runs.append((res, time.perf_counter() - start))
+    (good, elapsed), (rejected, _) = runs
+    assert good.returncode == 0, good.stdout + good.stderr
+    assert '"reconstruction": "ok"' in good.stdout
+    assert elapsed < 0.5
+    assert rejected.returncode == 1, rejected.stdout + rejected.stderr
+    assert json.loads(rejected.stdout)["error"]["type"] == "NotHalfDerivation"

@@ -1,4 +1,5 @@
-"""Byte-for-byte pin of the `lietp tp` reports on the shipped posets.
+"""Byte-for-byte pins of the `lietp tp` and `lietp decompose` reports on
+the shipped posets.
 
 `cli_tp_pinned.json` holds, for every `data/` poset, seeded components
 files (from `random_tp_components`, plus one mu that fails the Poisson-type
@@ -7,29 +8,50 @@ one coefficient raised by 1.  For every `tp build`, `tp verify`,
 `tp decompose` (at every base point) and `tp normalize` invocation it
 records the exit code and the exact stdout.  The expected outputs were
 recorded from the code as it stood before the constructor layer was
-rewritten for speed; regenerate the file (run this module as a script with
-`src` on the path) only for an intended change of output.
+rewritten for speed.
+
+`cli_decompose_pinned.json` holds, for every `data/` poset, seeded
+operators from `random_half_derivation` decomposed at every base point, a
+copy of each with one coefficient raised by 1 so that it is no longer a
+half-derivation, and one with a strict basis vector's image moved off that
+vector, with the exit code and the exact stdout of each `lietp decompose`.
+It was recorded from the code as it stood before the half-derivation check
+was replaced by the verifier's sparse kernel.
+
+Regenerate both files (run this module as a script with `src` on the path)
+only for an intended change of output.
 """
 
 import contextlib
 import io
 import json
 import pathlib
+import random
 
 from lietp import cli
 
 PIN = pathlib.Path(__file__).with_name("cli_tp_pinned.json")
+DECOMPOSE_PIN = pathlib.Path(__file__).with_name("cli_decompose_pinned.json")
 SEEDS = (1, 2, 3)
+DECOMPOSE_SEEDS = (1, 2)
+
+
+def _run(words, argv, data_dir, folder):
+    """(exit code, stdout) of `lietp *words *argv`, argv starting with the
+    poset file name (read from data_dir) and the data file name (from
+    folder)."""
+    poset_name, doc = argv[:2]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(words + [str(data_dir / poset_name), str(folder / doc)]
+                      + argv[2:])
+    return rc, buf.getvalue()
 
 
 def _invoke(case, data_dir, folder):
-    """(exit code, stdout) of one case, its data file read from folder."""
-    mode, poset_name, doc = case["argv"][:3]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = cli.main(["tp", mode, str(data_dir / poset_name),
-                       str(folder / doc)] + case["argv"][3:])
-    return rc, buf.getvalue()
+    """(exit code, stdout) of one `lietp tp` case, its data file read from
+    folder."""
+    return _run(["tp", case["argv"][0]], case["argv"][1:], data_dir, folder)
 
 
 def test_tp_stdout_matches_pinned_bytes(data_dir, tmp_path):
@@ -40,6 +62,19 @@ def test_tp_stdout_matches_pinned_bytes(data_dir, tmp_path):
         path.name for path in data_dir.glob("*.poset")}
     for case in pin["cases"]:
         assert _invoke(case, data_dir, tmp_path) == (
+            case["exit"], case["stdout"]), case["argv"]
+
+
+def test_decompose_stdout_matches_pinned_bytes(data_dir, tmp_path):
+    pin = json.loads(DECOMPOSE_PIN.read_text())
+    for name, doc in pin["inputs"].items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert {c["argv"][0] for c in pin["cases"]} == {
+        path.name for path in data_dir.glob("*.poset")}
+    assert {json.loads(c["stdout"]).get("error", {}).get("type")
+            for c in pin["cases"]} == {None, "NotHalfDerivation"}
+    for case in pin["cases"]:
+        assert _run(["decompose"], case["argv"], data_dir, tmp_path) == (
             case["exit"], case["stdout"]), case["argv"]
 
 
@@ -86,11 +121,51 @@ def _generate(data_dir, tmp):
     return inputs, cases
 
 
+def _generate_decompose(data_dir, tmp):
+    """(inputs, cases) for the decompose pin, each case run once against
+    this tree."""
+    from helpers import operator_document, plus_one, random_half_derivation
+    from lietp import algebra, halfder, poset
+
+    inputs, cases = {}, []
+
+    def record(poset_name, name, op, extras):
+        doc = inputs[name] = operator_document(op)
+        (tmp / name).write_text(json.dumps(doc))
+        for extra in extras:
+            case = {"argv": [poset_name, name] + extra}
+            case["exit"], case["stdout"] = _run(
+                ["decompose"], case["argv"], data_dir, tmp)
+            cases.append(case)
+
+    for path in sorted(data_dir.glob("*.poset")):
+        p = poset.parse_poset(path.read_text())
+        stem = path.stem
+        for seed in DECOMPOSE_SEEDS:
+            rng = random.Random(seed)
+            op = random_half_derivation(p, rng)[0]
+            record(path.name, "%s-s%d-op.json" % (stem, seed), op,
+                   [["--u0", u] for u in p.elements])
+            bad = plus_one(op, rng)
+            while halfder.is_half_derivation(bad)[0]:
+                bad = plus_one(op, rng)
+            record(path.name, "%s-s%d-corrupt.json" % (stem, seed), bad, [[]])
+        x, y = p.strict_pairs[0]
+        moved = op + halfder.operator_from_images(
+            p, {(x, y): algebra.diag_unit(p, x)})
+        record(path.name, "%s-strict-image.json" % stem, moved, [[]])
+    return inputs, cases
+
+
 if __name__ == "__main__":
+    import sys
     import tempfile
 
-    data_dir = pathlib.Path(__file__).resolve().parent.parent / "data"
-    with tempfile.TemporaryDirectory() as tmp:
-        inputs, cases = _generate(data_dir, pathlib.Path(tmp))
-    PIN.write_text(json.dumps({"inputs": inputs, "cases": cases}, indent=1)
-                   + "\n")
+    here = pathlib.Path(__file__).resolve().parent
+    sys.path.insert(0, str(here))
+    for pin, generate in ((PIN, _generate),
+                          (DECOMPOSE_PIN, _generate_decompose)):
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs, cases = generate(here.parent / "data", pathlib.Path(tmp))
+        pin.write_text(json.dumps({"inputs": inputs, "cases": cases},
+                                  indent=1) + "\n")

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (chain, full_catalog, random_admissible_sigma,
-                     random_central, random_half_derivation, random_kappa,
-                     walk_diag_value)
+from helpers import (chain, corrupted, full_catalog, plus_one,
+                     random_admissible_sigma, random_central,
+                     random_connected_poset, random_fraction,
+                     random_half_derivation, random_kappa,
+                     reference_is_half_derivation, walk_diag_value)
+from lietp import tpstruct
 from lietp.algebra import diag_unit, element, identity, minmax_pairs, unit
 from lietp.errors import (MalformedImage, NotCentralInCommutator,
                           NotHalfDerivation, TooLarge)
-from lietp.halfder import (CentralElement, KappaMap, SigmaMap, apply,
-                           central_from_element, central_valued, decompose,
+from lietp.halfder import (CentralElement, KappaMap, LinearOperator,
+                           SigmaMap, apply, central_from_element,
+                           central_valued, decompose,
                            decomposition_report, half_derivation_space,
                            identity_operator, inner, is_admissible,
                            is_half_derivation, operator_from_images,
@@ -70,6 +74,52 @@ def test_half_derivation_witness(chain2):
     assert witness == (("1", "1"), ("1", "2"))
     with pytest.raises(NotHalfDerivation):
         decompose(op, "1")
+
+
+def _sparse_operator(p, rng):
+    """Operator with one to three random entries in about a third of its
+    columns."""
+    B = len(p.pairs)
+    cols = [{} for _ in range(B)]
+    for col in cols:
+        if rng.random() < 0.3:
+            for _ in range(rng.randint(1, 3)):
+                col[rng.randrange(B)] = random_fraction(rng, allow_zero=False)
+    return LinearOperator(p, cols)
+
+
+def test_is_half_derivation_matches_reference_scan():
+    rng = random.Random(77)
+    posets = list(CATALOG) + [random_connected_poset(rng, rng.randint(6, 8))
+                              for _ in range(30)]
+    verdicts = {True: 0, False: 0}
+    leibniz_witnesses = 0
+    for k, p in enumerate(posets):
+        ops = []
+        for _ in range(2):
+            good = random_half_derivation(p, rng)[0]
+            ops += [good, plus_one(good, rng), _sparse_operator(p, rng)]
+        prod = tpstruct.random_tp(p, k)
+        tables = [prod, corrupted(prod, rng)] if prod.table else [prod]
+        for table in tables:
+            mults = [table.left_mult(pair) for pair in p.pairs]
+            ops += mults
+            # verify_tp's sweep runs the same kernel over every left
+            # multiplication at once: same verdict, and the same first
+            # failing (z, x, y) wherever its witness is a Leibniz one
+            first = next(((pair,) + w for pair, (ok, w) in zip(
+                p.pairs, map(reference_is_half_derivation, mults))
+                if not ok), None)
+            report = tpstruct.verify_tp(table)
+            assert report["transposed_leibniz"] == (first is None)
+            if (report["witness"] or {}).get("check") == "transposed_leibniz":
+                assert report["witness"]["triple"] == first
+                leibniz_witnesses += 1
+        for op in ops:
+            got = is_half_derivation(op)
+            assert got == reference_is_half_derivation(op), (p.covers, op)
+            verdicts[got[0]] += 1
+    assert min(verdicts.values()) > 400 and leibniz_witnesses > 10
 
 
 def test_identity_and_zero_operators(vee):

@@ -12,7 +12,8 @@ from lietp import poset, tpstruct
 from lietp.errors import (CapExceeded, CycleInOrder, InvalidWalk,
                           NotConnected, NotExtreme, ParseError,
                           RedundantCover, TooSmall, UnknownElement)
-from lietp.halfder import is_half_derivation, unit_brackets
+from lietp.halfder import (half_derivation_space, is_half_derivation,
+                           unit_brackets)
 from lietp.poset import (Walk, blocks_and_bridges, build_poset, closure,
                          enumerate_cycles, extreme_pairs, min_max,
                          pair_classes, parse_poset, sign_and_vset,
@@ -363,8 +364,10 @@ def test_returned_values_do_not_alias_the_cache(zigzag):
     assert isinstance(sign_and_vset(p, "1", ("1", "3"))[1], frozenset)
     assert (extreme_pairs(p), pair_classes(p).classes, min_max(p),
             blocks_and_bridges(p), sign_and_vset(p, "1", ("1", "3"))) == before
-    # the bracket table the checkers share is not the one handed out
+    # the bracket table the nullspace oracle keeps is not the one handed out
     ok = is_half_derivation(tpstruct.random_tp(p, 1).left_mult(p.pairs[0]))
+    space = half_derivation_space(p)
     unit_brackets(p).clear()
     assert is_half_derivation(
         tpstruct.random_tp(p, 1).left_mult(p.pairs[0])) == ok == (True, None)
+    assert half_derivation_space(p) == space and len(space) == 10

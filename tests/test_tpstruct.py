@@ -11,11 +11,11 @@ from helpers import (MU_KINDS, BruteForce, chain, corrupted, data_catalog,
                      random_fraction, random_raw_mu, reference_mu_condition,
                      reference_orthogonal, reference_poisson_type,
                      reference_verify, same_components)
-from lietp import tpstruct
+from lietp import algebra, tpstruct
 from lietp.algebra import (commutator, diag_unit, element, identity,
                            minmax_pairs, unit)
 from lietp.errors import (MuNotAssociative, NotCentralInCommutator,
-                          NotTransposedPoisson, ParseError)
+                          NotTransposedPoisson, ParseError, UnknownElement)
 from lietp.halfder import (central_from_element, inner, is_half_derivation,
                            operator_from_images, phi_sigma, sigma_from_map,
                            zero_operator)
@@ -448,6 +448,12 @@ def _soundness_tables(p, rng, seed):
     return tables
 
 
+def _cleared(prod):
+    """The product's table cleared of denominators, as verify_tp reads it."""
+    return algebra.cleared(
+        {key: elem.coeffs for key, elem in prod.table.items()})
+
+
 def _check_certificate(prod, reference):
     """The certificate at every base point accepts only tables the reference
     passes, and rebuilds them; verify_tp and decompose_tp agree with the
@@ -456,7 +462,7 @@ def _check_certificate(prod, reference):
     passes = tp_passes(reference)
     accepted = []
     for u0 in p.elements:
-        if tpstruct._certified(p, tpstruct._cleared(prod.table), u0):
+        if tpstruct._certified(p, _cleared(prod), u0):
             assert passes, (p.covers, u0, reference)
             assert decompose_tp(prod, u0).reconstruct() == prod
             accepted.append(u0)
@@ -480,7 +486,7 @@ def test_certificate_never_accepts_a_rejected_table():
         for _ in range(20)]
     for k, (p, brute) in enumerate(posets):
         for t, prod in enumerate(_soundness_tables(p, rng, k)):
-            reference = tpstruct._sweep(p, tpstruct._cleared(prod.table))
+            reference = tpstruct._sweep(p, _cleared(prod))
             accepted = _check_certificate(prod, reference)
             if brute and accepted and t > 0:
                 assert reference_verify(prod) == reference
@@ -495,7 +501,7 @@ def test_certificate_never_accepts_a_rejected_table():
 
 
 def test_certificate_rejects_out_of_shape_tables(vee):
-    table = tpstruct._cleared(random_tp(vee, seed=4).table)
+    table = _cleared(random_tp(vee, seed=4))
     assert tpstruct._in_shape(vee, table)
     d1, e12, d2, d3 = (vee.pair_index[pr] for pr in (
         ("1", "1"), ("1", "2"), ("2", "2"), ("3", "3")))
@@ -632,3 +638,9 @@ def test_transport_refuses_a_zero_scale(chain2):
     prod = mutational(NuElement(chain2, {("1", "2"): 1}))
     with pytest.raises(ParseError, match=r"\('1', '1'\)"):
         transport_product(prod, {("1", "1"): 0})
+
+
+def test_transport_refuses_a_pair_that_is_not_comparable(chain2):
+    prod = mutational(NuElement(chain2, {("1", "2"): 1}))
+    with pytest.raises(UnknownElement, match=r"\('2', '1'\)"):
+        transport_product(prod, {("2", "1"): 2})
