@@ -192,8 +192,11 @@ def cmd_decompose(args):
     images = {}
     try:
         for row in data["images"]:
-            images[(row["from"], row["to"])] = algebra.from_records(
-                p, row["image"])
+            pair = (row["from"], row["to"])
+            if pair in images:
+                raise ParseError("bad operator file: the image of %r is "
+                                 "given twice" % (pair,))
+            images[pair] = algebra.from_records(p, row["image"])
     except (KeyError, TypeError) as exc:
         raise ParseError("bad operator file: %s" % exc)
     op = halfder.operator_from_images(p, images)

@@ -57,7 +57,13 @@ class NotHalfDerivation(LietpError):
 
 
 class MalformedImage(LietpError):
-    """Image of a strict basis pair is not a scalar multiple of that pair."""
+    """Image of a strict basis pair is not a scalar multiple of that pair.
+
+    Kept for callers that catch it; lietp no longer raises it, because every
+    half-derivation maps a strict basis pair to a multiple of itself (the
+    argument is in halfder.decompose), and any other operator fails the
+    identity check first with NotHalfDerivation.
+    """
 
 
 class NotCentralInCommutator(LietpError):

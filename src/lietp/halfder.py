@@ -15,9 +15,9 @@ from fractions import Fraction
 from math import gcd
 
 from . import algebra
-from .errors import (MalformedImage, NotCentralInCommutator,
-                     NotHalfDerivation, OwnerMismatch, ReconstructionMismatch,
-                     TooLarge, UnknownElement)
+from .errors import (NotCentralInCommutator, NotHalfDerivation,
+                     OwnerMismatch, ReconstructionMismatch, TooLarge,
+                     UnknownElement)
 from .poset import Walk, pair_classes
 
 DEFAULT_ORACLE_CAP = 5000
@@ -102,31 +102,6 @@ def apply(op, f):
     return algebra.IncidenceElement(op.owner, acc)
 
 
-def unit_brackets(p):
-    """Structure constants of the Lie bracket on basis pairs.
-
-    Returns {(i, j): {k: integer coefficient}} for [b_i, b_j], storing only
-    nonzero brackets: [e_ab, e_cd] = (b=c) e_ad - (d=a) e_cb.  The nullspace
-    oracle computes it once per poset through Poset.memo.
-    """
-    pairs, pidx = p.pairs, p.pair_index
-    brackets = {}
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if i == j:
-                continue
-            res = {}
-            if b == c:
-                res[pidx[(a, d)]] = res.get(pidx[(a, d)], 0) + 1
-            if d == a:
-                k = pidx[(c, b)]
-                res[k] = res.get(k, 0) - 1
-            res = {k: v for k, v in res.items() if v}
-            if res:
-                brackets[(i, j)] = res
-    return brackets
-
-
 def _pair_ends(p):
     """({x: [(y, k)]}, {y: [(x, k)]}): the basis pairs b_k = (x, y) by their
     lower and by their upper end, in basis order."""
@@ -138,42 +113,50 @@ def _pair_ends(p):
     return starts, ends
 
 
+def unit_brackets(p):
+    """The nonzero Lie brackets of basis pairs, as (by_left, by_output).
+
+    by_left[k] lists (y, out, sign) with [b_k, b_y] = sign b_out, from
+    [e_ab, e_cd] = (b=c) e_ad - (d=a) e_cb: y runs over the pairs (b, d),
+    then over the pairs (c, a), skipping y = k, whose two terms cancel.
+    by_output[r] lists (i, j, t), i < j, with 2 [b_i, b_j] = t b_r.  Both
+    take time proportional to their size.  The half-derivation kernel, the
+    nullspace oracle and inner() read the one table that Poset.memo keeps.
+    """
+    pidx = p.pair_index
+    starts, ends = _pair_ends(p)
+    by_left = [tuple([(y, pidx[(a, d)], 1) for d, y in starts[b] if y != k]
+                     + [(y, pidx[(c, b)], -1) for c, y in ends[a] if y != k])
+               for k, (a, b) in enumerate(p.pairs)]
+    by_output = [[] for _ in p.pairs]
+    for i, row in enumerate(by_left):
+        for j, r, sign in row:
+            if i < j:
+                by_output[r].append((i, j, 2 * sign))
+    return by_left, by_output
+
+
 def _first_halfder_failure(p, operators):
     """Least (z, x, y), x < y, with 2 L_z[b_x, b_y] != [L_z b_x, b_y] +
     [b_x, L_z b_y], or None, for integer operators {z: {x: {r: int}}} given
     by their nonzero columns L_z b_x.
 
     For each z the defect (left side minus right side) is accumulated per
-    (x, y, output) from the nonzero terms only: [b_x, b_y] = +-b_(u,w)
-    exactly for {x, y} = {(u,m), (m,w)}, and [b_(a,b), b_y] is b_(a,d) for
-    y = (b,d) and -b_(c,b) for y = (c,a).  The defect is antisymmetric in
-    (x, y), so it is kept for x < y only.
+    (x, y, output) from the nonzero terms only, read off the bracket table:
+    by_output[r] for the left side, by_left[k] for the right.  The defect
+    is antisymmetric in (x, y), so it is kept for x < y only.
     """
-    pairs, pidx = p.pairs, p.pair_index
-    starts, ends = p.memo("pair_ends", _pair_ends)
-    sources = {}    # r -> [(i, j, t)], i < j, with 2 [b_i, b_j] = t b_r
-    partners = {}   # k -> [(y, out, sign)] with [b_k, b_y] = sign b_out
+    by_left, by_output = p.memo("unit_brackets", unit_brackets)
     for z in sorted(operators):
         defect = {}
         for r, vec in operators[z].items():
-            if r not in sources:
-                u, w = pairs[r]
-                sources[r] = []
-                for m, i in starts[u] if u != w else ():
-                    j = pidx.get((m, w))
-                    if j is not None:
-                        sources[r].append((i, j, 2) if i < j else (j, i, -2))
-            for i, j, t in sources[r]:
+            for i, j, t in by_output[r]:
                 for k, v in vec.items():
                     key = (i, j, k)
                     defect[key] = defect.get(key, 0) + t * v
         for x, vec in operators[z].items():
             for k, v in vec.items():
-                if k not in partners:
-                    a, b = pairs[k]
-                    partners[k] = ([(y, pidx[(a, d)], 1) for d, y in starts[b]]
-                                   + [(y, pidx[(c, b)], -1) for c, y in ends[a]])
-                for y, out, sign in partners[k]:
+                for y, out, sign in by_left[k]:
                     if x < y:
                         key = (x, y, out)
                         defect[key] = defect.get(key, 0) - sign * v
@@ -259,9 +242,9 @@ class SigmaMap(object):
     __hash__ = None
 
 
-def sigma_from_map(p, raw, partition=None):
+def sigma_from_map(p, raw):
     """SigmaMap from a raw {strict pair: value} map; must be constant on each class."""
-    partition = partition or pair_classes(p)
+    partition = pair_classes(p)
     values = []
     for cls in partition.classes:
         vals = {algebra.as_rational(raw.get(pr, 0)) for pr in cls}
@@ -308,11 +291,11 @@ def walk_functionals(sigma, walk, x):
 def inner(c):
     """The operator [c, -] for c in Z([I,I]); kills the whole commutator subspace."""
     p = c.owner
-    celem = c.as_element()
-    cols = []
-    for pair in p.pairs:
-        img = algebra.commutator(celem, algebra.unit(p, *pair))
-        cols.append(dict(img.coeffs))
+    by_left, _ = p.memo("unit_brackets", unit_brackets)
+    cols = [{} for _ in p.pairs]
+    for pair, v in c.values.items():
+        for y, out, sign in by_left[p.pair_index[pair]]:
+            algebra.add_scaled(cols[y], {out: v}, sign)
     return LinearOperator(p, cols)
 
 
@@ -378,33 +361,26 @@ class HalfDerDecomposition(object):
                 + central_valued(self.kappa))
 
 
-def _extract_sigma(op):
-    """Raw sigma read off the strict columns; the image of each strict pair
-    must be a scalar multiple of that same basis vector."""
-    p = op.owner
-    raw = {}
-    for pair in p.strict_pairs:
-        k = p.pair_index[pair]
-        col = op.columns[k]
-        if any(r != k for r in col):
-            raise MalformedImage(
-                "image of e_(%r,%r) is not a multiple of itself" % pair)
-        raw[pair] = col.get(k, Fraction(0))
-    return raw
-
-
 def decompose(op, u0):
-    """Unique (c, sigma, kappa) with op = inner(c) + phi_sigma + central_valued."""
+    """Unique (c, sigma, kappa) with op = inner(c) + phi_sigma + central_valued.
+
+    sigma is read off one representative e_xy per pair class.  That is
+    enough: a half-derivation is inner(c) + phi_sigma + central_valued(kappa)
+    for an admissible sigma.  Both inner(c) and central_valued(kappa) vanish
+    on strict pairs: c is a combination of minimal-maximal pairs, and those
+    bracket to 0 with every strict pair, since x < y makes x non-maximal and
+    y non-minimal.  So op(e_xy) = sigma(x, y) e_xy, constant on each class.
+    The comparison with the reconstruction guards the whole read-off.
+    """
     p = op.owner
     p.index(u0)
     ok, witness = is_half_derivation(op)
     if not ok:
         raise NotHalfDerivation(witness)
-    try:
-        sigma = sigma_from_map(p, _extract_sigma(op))
-    except ValueError as e:
-        raise MalformedImage(str(e))
     pidx = p.pair_index
+    partition = pair_classes(p)
+    reps = [pidx[cls[0]] for cls in partition.classes]
+    sigma = SigmaMap(partition, [op.columns[k].get(k, 0) for k in reps])
     cvals = {}
     for (x, y) in algebra.minmax_pairs(p):
         v = op.columns[pidx[(y, y)]].get(pidx[(x, y)], Fraction(0))
@@ -466,37 +442,31 @@ def half_derivation_space(p, cap=DEFAULT_ORACLE_CAP):
     """Basis of all half-derivations, by brute-force exact nullspace.
 
     Unknowns are all matrix entries of a candidate operator; one linear
-    equation per unordered basis pair per component. Fraction-free
-    elimination with deterministic smallest-index pivoting.
+    equation per unordered basis pair per component, built from the nonzero
+    brackets of unit_brackets only. Fraction-free elimination with
+    deterministic smallest-index pivoting.
     """
     B = len(p.pairs)
     if B * B > cap:
         raise TooLarge("system has %d unknowns, cap is %d" % (B * B, cap))
-    brackets = p.memo("unit_brackets", unit_brackets)
+    by_left, _ = p.memo("unit_brackets", unit_brackets)
     pivots = {}
     for i in range(B):
         for j in range(i + 1, B):
             rows = {}
-            br = brackets.get((i, j))
-            if br:
-                for k in range(B):
-                    row = rows.setdefault(k, {})
-                    for r, s in br.items():
-                        u = r * B + k
+            for r, k, s in by_left[i]:
+                if r == j:      # 2 phi[b_i, b_j] = 2s phi(b_k), every component
+                    for m in range(B):
+                        row = rows.setdefault(m, {})
+                        u = k * B + m
                         row[u] = row.get(u, 0) + 2 * s
-            for r in range(B):
-                br_rj = brackets.get((r, j))
-                if br_rj:
-                    for k, s in br_rj.items():
-                        row = rows.setdefault(k, {})
-                        u = i * B + r
-                        row[u] = row.get(u, 0) - s
-                br_ir = brackets.get((i, r))
-                if br_ir:
-                    for k, s in br_ir.items():
-                        row = rows.setdefault(k, {})
-                        u = j * B + r
-                        row[u] = row.get(u, 0) - s
+                row = rows.setdefault(k, {})    # [b_i, phi b_j] at phi(b_j)_r
+                u = j * B + r
+                row[u] = row.get(u, 0) - s
+            for r, k, s in by_left[j]:  # [phi b_i, b_j] at phi(b_i)_r
+                row = rows.setdefault(k, {})
+                u = i * B + r
+                row[u] = row.get(u, 0) + s
             for k in sorted(rows):
                 row = {u: v for u, v in rows[k].items() if v}
                 if row:

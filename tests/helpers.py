@@ -12,8 +12,7 @@ from itertools import permutations, product
 from lietp import algebra, poset, tpstruct
 from lietp.errors import LietpError
 from lietp.halfder import (CentralElement, KappaMap, LinearOperator, SigmaMap,
-                           central_valued, inner, phi_sigma, unit_brackets,
-                           walk_functionals)
+                           central_valued, inner, phi_sigma, walk_functionals)
 from lietp.poset import (blocks_and_bridges, build_poset, enumerate_cycles,
                          pair_classes, walk_between)
 
@@ -227,22 +226,21 @@ def _comm_with_unit(p, coeffs, unit_pair):
 
 def reference_is_half_derivation(op):
     """is_half_derivation by a scan of every unordered basis pair (i, j),
-    in Fractions, from the bracket table: (True, None) or (False, the first
-    violating pair of basis pairs)."""
+    in Fractions, with each bracket [b_i, b_j] worked out by _comm_with_unit:
+    (True, None) or (False, the first violating pair of basis pairs)."""
     p = op.owner
     pairs = p.pairs
     B = len(pairs)
     cols = op.columns
-    brackets = p.memo("unit_brackets", unit_brackets)
     nonzero = {j for j in range(B) if cols[j]}
     for i in range(B):
         for j in range(i + 1, B):
-            br = brackets.get((i, j))
+            br = _comm_with_unit(p, {i: 1}, pairs[j])
             if i not in nonzero and j not in nonzero:
-                if br is None or not any(r in nonzero for r in br):
+                if not any(r in nonzero for r in br):
                     continue
             lhs = {}
-            for r, s in (br or {}).items():
+            for r, s in br.items():
                 algebra.add_scaled(lhs, cols[r], 2 * s)
             rhs = algebra.add_scaled(_comm_with_unit(p, cols[i], pairs[j]),
                                      _comm_with_unit(p, cols[j], pairs[i]), -1)

@@ -114,6 +114,22 @@ def test_decompose_rejects_unknown_pair(capsys, data_dir, tmp_path):
     assert rep["error"]["type"] == "UnknownElement"
 
 
+def test_decompose_rejects_an_operator_that_repeats_a_pair(capsys, data_dir,
+                                                          tmp_path):
+    # e_12 -> e_11 alone is no half-derivation; a second, empty row for
+    # e_12 used to replace it and decompose the zero operator
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"images": [
+        {"from": "1", "to": "2",
+         "image": [{"from": "1", "to": "1", "numerator": 1,
+                    "denominator": 1}]},
+        {"from": "1", "to": "2", "image": []}]}))
+    err = _rejected(capsys, "decompose", str(data_dir / "chain2.poset"),
+                    str(op))
+    assert err["type"] == "ParseError"
+    assert "is given twice" in err["detail"]
+
+
 def test_tp_build_verify_decompose_roundtrip(capsys, data_dir, tmp_path):
     comps = {"u0": "1",
              "nu": [{"x": "1", "y": "2", "value": 1},

@@ -11,17 +11,17 @@ from helpers import (chain, corrupted, full_catalog, plus_one,
                      random_half_derivation, random_kappa,
                      reference_is_half_derivation, walk_diag_value)
 from lietp import tpstruct
-from lietp.algebra import diag_unit, element, identity, minmax_pairs, unit
-from lietp.errors import (MalformedImage, NotCentralInCommutator,
-                          NotHalfDerivation, TooLarge)
+from lietp.algebra import (commutator, diag_unit, element, identity,
+                           minmax_pairs, unit)
+from lietp.errors import NotCentralInCommutator, NotHalfDerivation, TooLarge
 from lietp.halfder import (CentralElement, KappaMap, LinearOperator,
                            SigmaMap, apply, central_from_element,
                            central_valued, decompose,
                            decomposition_report, half_derivation_space,
                            identity_operator, inner, is_admissible,
                            is_half_derivation, operator_from_images,
-                           phi_sigma, sigma_from_map, walk_functionals,
-                           zero_operator, _extract_sigma)
+                           phi_sigma, sigma_from_map, unit_brackets,
+                           walk_functionals, zero_operator)
 from lietp.poset import Walk, enumerate_cycles, pair_classes
 
 CATALOG = full_catalog()
@@ -120,6 +120,44 @@ def test_is_half_derivation_matches_reference_scan():
             assert got == reference_is_half_derivation(op), (p.covers, op)
             verdicts[got[0]] += 1
     assert min(verdicts.values()) > 400 and leibniz_witnesses > 10
+
+
+def _bracket_posets():
+    rng = random.Random(23)
+    return list(CATALOG) + [random_connected_poset(rng, rng.randint(6, 8))
+                            for _ in range(30)]
+
+
+def test_unit_brackets_match_a_dense_scan():
+    for p in _bracket_posets():
+        by_left, by_output = unit_brackets(p)
+        units = [unit(p, *pair) for pair in p.pairs]
+        dense = {}
+        for i, f in enumerate(units):
+            for j, g in enumerate(units):
+                br = commutator(f, g).coeffs
+                if br:
+                    dense[(i, j)] = br
+        table = {}
+        for i, row in enumerate(by_left):
+            for j, out, sign in row:
+                table.setdefault((i, j), {})[out] = sign
+        assert table == dense, p.covers
+        assert sum(map(len, by_left)) == len(dense)
+        assert sorted((i, j, r, t) for r, row in enumerate(by_output)
+                      for i, j, t in row) == sorted(
+            (i, j, r, 2 * s) for (i, j), br in dense.items() if i < j
+            for r, s in br.items())
+
+
+def test_inner_matches_the_commutator_definition():
+    rng = random.Random(29)
+    for p in _bracket_posets():
+        for c in (random_central(p, rng), random_central(p, rng),
+                  CentralElement(p, {})):
+            celem = c.as_element()
+            for pair, col in zip(p.pairs, inner(c).columns):
+                assert col == commutator(celem, unit(p, *pair)).coeffs
 
 
 def test_identity_and_zero_operators(vee):
@@ -258,14 +296,6 @@ def test_oracle_basis_decomposes_and_rebuilds(vee, crown):
             assert is_half_derivation(op)[0]
             dec = decompose(op, p.elements[0])
             assert dec.reconstruct() == op
-
-
-def test_extract_sigma_rejects_rotated_images(chain3):
-    op = operator_from_images(
-        chain3, {("1", "2"): unit(chain3, "2", "3"),
-                 ("2", "3"): unit(chain3, "2", "3")})
-    with pytest.raises(MalformedImage):
-        _extract_sigma(op)
 
 
 @settings(max_examples=50, deadline=None)
