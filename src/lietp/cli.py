@@ -16,26 +16,41 @@ from . import algebra, halfder, poset, tpstruct
 from .errors import CapExceeded, GoldenMismatch, LietpError, ParseError
 
 
-def _load_poset(path):
+def _read(path):
+    """The text of a UTF-8 input file; a failure to read it is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
-    return poset.parse_poset(text)
 
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError("cannot read %s: %s" % (path, exc))
-    except ValueError as exc:
+        data = json.loads(_read(path))
+    except (ValueError, RecursionError) as exc:
         raise ParseError("malformed JSON in %s: %s" % (path, exc))
     if not isinstance(data, dict):
         raise ParseError("%s must hold a JSON object" % path)
     return data
+
+
+def _rows(what, rows, key, value):
+    """{key(row): value(row)} over the JSON row list `rows` of the field
+    `what`.  A value that is not a list, a row that lacks or mistypes a
+    field, and a key given twice are each a ParseError naming the field."""
+    if not isinstance(rows, list):
+        raise ParseError("%s must be a list of rows" % what)
+    out = {}
+    for n, row in enumerate(rows):
+        try:
+            k = key(row)
+            if k in out:
+                raise ParseError("%s row %r is given twice" % (what, k))
+            out[k] = value(row)
+        except (KeyError, TypeError) as exc:
+            raise ParseError("bad %s row %d: %r" % (what, n, exc))
+    return out
 
 
 def _poset_summary(p):
@@ -49,67 +64,57 @@ def _poset_summary(p):
     }
 
 
-def _element_records(f):
-    return sorted(algebra.to_records(f),
-                  key=lambda r: f.owner.pair_key((r["from"], r["to"])))
-
-
 def _table_payload(prod):
     rows = []
     for (pr1, pr2), elem in prod.entries():
         rows.append({
             "left": {"from": pr1[0], "to": pr1[1]},
             "right": {"from": pr2[0], "to": pr2[1]},
-            "product": _element_records(elem),
+            "product": algebra.to_records(elem),
         })
     return rows
 
 
+def _pair(rec):
+    return (rec["from"], rec["to"])
+
+
+def _product_key(row):
+    """A table row's key: its (left, right) pairs, in the order that makes a
+    product and its transpose one key."""
+    left, right = _pair(row["left"]), _pair(row["right"])
+    return min((left, right), (right, left))
+
+
 def _product_from_data(p, data):
-    entries = {}
+    entries = _rows("table", data.get("table", []), _product_key,
+                    lambda row: algebra.from_records(p, row["product"]))
     try:
-        for row in data.get("table", []):
-            left = (row["left"]["from"], row["left"]["to"])
-            right = (row["right"]["from"], row["right"]["to"])
-            if (left, right) in entries or (right, left) in entries:
-                raise ParseError("bad product table: the product of %r and "
-                                 "%r is given twice" % (left, right))
-            entries[(left, right)] = algebra.from_records(p, row["product"])
         return tpstruct.tp_from_table(p, entries)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ParseError("bad product table: %s" % exc)
 
 
-def _pair_rows(data, field):
-    rows = {}
-    for rec in data.get(field, []):
-        try:
-            rows[(rec["x"], rec["y"])] = algebra.as_rational(rec["value"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError("bad %s entry %r: %s" % (field, rec, exc))
-    return rows
-
-
 def _decomposition_from_data(p, data, u0):
+    mu, nu, lam = (
+        _rows(field, data.get(field, []), lambda row: (row["x"], row["y"]),
+              lambda row: algebra.as_rational(row["value"]))
+        for field in ("mu", "nu", "lambda"))
     try:
-        mu = tpstruct.MuMap(p, _pair_rows(data, "mu"))
-        nu = tpstruct.NuElement(p, _pair_rows(data, "nu"))
-        lam = tpstruct.LambdaMap(p, _pair_rows(data, "lambda"))
+        return tpstruct.TPDecomposition(
+            tpstruct.MuMap(p, mu), tpstruct.NuElement(p, nu),
+            tpstruct.LambdaMap(p, lam), u0)
     except ValueError as exc:
         raise ParseError(str(exc))
-    return tpstruct.TPDecomposition(mu, nu, lam, u0)
 
 
 def _decomposition_payload(dec):
-    p = dec.mu.owner
+    def rows(m):
+        return [{"x": x, "y": y, "value": str(m.values[(x, y)])}
+                for x, y in m.support()]
 
-    def rows(vals):
-        return [{"x": x, "y": y, "value": str(v)}
-                for (x, y), v in sorted(vals.items(),
-                                        key=lambda it: p.pair_key(it[0]))]
-
-    return {"u0": dec.u0, "mu": rows(dec.mu.values),
-            "nu": rows(dec.nu.values), "lambda": rows(dec.lam.values)}
+    return {"u0": dec.u0, "mu": rows(dec.mu), "nu": rows(dec.nu),
+            "lambda": rows(dec.lam)}
 
 
 def _resolve_u0(p, flag, data=None):
@@ -125,7 +130,7 @@ def _resolve_u0(p, flag, data=None):
 
 
 def cmd_analyze(args):
-    p = _load_poset(args.poset)
+    p = poset.parse_poset(_read(args.poset))
     u0 = _resolve_u0(p, args.u0)
     part = poset.pair_classes(p)
     _blocks, bridges = poset.blocks_and_bridges(p)
@@ -157,7 +162,7 @@ def cmd_analyze(args):
 
 
 def cmd_halfder(args):
-    p = _load_poset(args.poset)
+    p = poset.parse_poset(_read(args.poset))
     part = poset.pair_classes(p)
     mm = algebra.minmax_pairs(p)
     structural_dim = len(p.elements) + len(part) + len(mm)
@@ -176,8 +181,11 @@ def cmd_halfder(args):
     }
     ok = True
     if args.oracle:
-        cap = int(os.environ.get("LIETP_ORACLE_CAP",
-                                 halfder.DEFAULT_ORACLE_CAP))
+        try:
+            cap = int(os.environ.get("LIETP_ORACLE_CAP",
+                                     halfder.DEFAULT_ORACLE_CAP))
+        except ValueError as exc:
+            raise ParseError("bad LIETP_ORACLE_CAP: %s" % exc)
         basis = halfder.half_derivation_space(p, cap=cap)
         verdict = "EQUAL" if len(basis) == structural_dim else "UNEQUAL"
         report["oracle"] = {"dimension": len(basis), "verdict": verdict}
@@ -186,19 +194,11 @@ def cmd_halfder(args):
 
 
 def cmd_decompose(args):
-    p = _load_poset(args.poset)
+    p = poset.parse_poset(_read(args.poset))
     data = _load_json(args.operator)
     u0 = _resolve_u0(p, args.u0)
-    images = {}
-    try:
-        for row in data["images"]:
-            pair = (row["from"], row["to"])
-            if pair in images:
-                raise ParseError("bad operator file: the image of %r is "
-                                 "given twice" % (pair,))
-            images[pair] = algebra.from_records(p, row["image"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError("bad operator file: %s" % exc)
+    images = _rows("images", data.get("images"), _pair,
+                   lambda row: algebra.from_records(p, row["image"]))
     op = halfder.operator_from_images(p, images)
     dec = halfder.decompose(op, u0)
     report = {
@@ -212,7 +212,7 @@ def cmd_decompose(args):
 
 
 def cmd_tp(args):
-    p = _load_poset(args.poset)
+    p = poset.parse_poset(_read(args.poset))
     data = _load_json(args.data)
     u0 = _resolve_u0(p, args.u0, data)
     report = {"command": "tp %s" % args.mode, "poset": _poset_summary(p)}
@@ -244,9 +244,8 @@ def cmd_tp(args):
         "u0": u0,
         "decomposition": _decomposition_payload(norm),
         "automorphism": [
-            {"from": x, "to": y, "scale": str(v)}
-            for (x, y), v in sorted(scales.items(),
-                                    key=lambda it: p.pair_key(it[0]))],
+            {"from": x, "to": y, "scale": str(scales[(x, y)])}
+            for x, y in norm.nu.support()],
         "consistent": consistent,
     })
     return report, consistent

@@ -61,8 +61,8 @@ class MalformedImage(LietpError):
 
     Kept for callers that catch it; lietp no longer raises it, because every
     half-derivation maps a strict basis pair to a multiple of itself (the
-    argument is in halfder.decompose), and any other operator fails the
-    identity check first with NotHalfDerivation.
+    argument is in halfder.decompose), and any other operator fails with
+    NotHalfDerivation.
     """
 
 

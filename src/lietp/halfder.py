@@ -120,8 +120,8 @@ def unit_brackets(p):
     [e_ab, e_cd] = (b=c) e_ad - (d=a) e_cb: y runs over the pairs (b, d),
     then over the pairs (c, a), skipping y = k, whose two terms cancel.
     by_output[r] lists (i, j, t), i < j, with 2 [b_i, b_j] = t b_r.  Both
-    take time proportional to their size.  The half-derivation kernel, the
-    nullspace oracle and inner() read the one table that Poset.memo keeps.
+    take time proportional to their size.  The half-derivation kernel and
+    the nullspace oracle read the one table that Poset.memo keeps.
     """
     pidx = p.pair_index
     starts, ends = _pair_ends(p)
@@ -289,13 +289,17 @@ def walk_functionals(sigma, walk, x):
 
 
 def inner(c):
-    """The operator [c, -] for c in Z([I,I]); kills the whole commutator subspace."""
+    """The operator [c, -] for c in Z([I,I]); kills the whole commutator subspace.
+
+    A minimal-maximal e_xy brackets to 0 with every basis pair except e_yy,
+    to e_xy, and e_xx, to -e_xy.
+    """
     p = c.owner
-    by_left, _ = p.memo("unit_brackets", unit_brackets)
+    pidx = p.pair_index
     cols = [{} for _ in p.pairs]
-    for pair, v in c.values.items():
-        for y, out, sign in by_left[p.pair_index[pair]]:
-            algebra.add_scaled(cols[y], {out: v}, sign)
+    for (x, y), v in c.values.items():
+        cols[pidx[(y, y)]][pidx[(x, y)]] = v
+        cols[pidx[(x, x)]][pidx[(x, y)]] = -v
     return LinearOperator(p, cols)
 
 
@@ -364,37 +368,33 @@ class HalfDerDecomposition(object):
 def decompose(op, u0):
     """Unique (c, sigma, kappa) with op = inner(c) + phi_sigma + central_valued.
 
-    sigma is read off one representative e_xy per pair class.  That is
-    enough: a half-derivation is inner(c) + phi_sigma + central_valued(kappa)
-    for an admissible sigma.  Both inner(c) and central_valued(kappa) vanish
-    on strict pairs: c is a combination of minimal-maximal pairs, and those
-    bracket to 0 with every strict pair, since x < y makes x non-maximal and
-    y non-minimal.  So op(e_xy) = sigma(x, y) e_xy, constant on each class.
-    The comparison with the reconstruction guards the whole read-off.
+    The parts are read off op and their rebuilt sum decides: each part is a
+    half-derivation (sigma, read off one e_xy per pair class, is
+    class-constant) and the identity is linear, so an op equal to the sum
+    is one.  A half-derivation is such a sum, and the read-off recovers it:
+    inner(c) and central_valued(kappa) vanish on strict pairs, since a
+    minimal-maximal pair brackets to 0 with every strict pair, so op(e_xy)
+    = sigma(x, y) e_xy.  Only a mismatch runs the kernel, for the
+    NotHalfDerivation witness; a mismatch the kernel passes is a
+    ReconstructionMismatch.
     """
     p = op.owner
     p.index(u0)
-    ok, witness = is_half_derivation(op)
-    if not ok:
-        raise NotHalfDerivation(witness)
     pidx = p.pair_index
     partition = pair_classes(p)
     reps = [pidx[cls[0]] for cls in partition.classes]
     sigma = SigmaMap(partition, [op.columns[k].get(k, 0) for k in reps])
-    cvals = {}
-    for (x, y) in algebra.minmax_pairs(p):
-        v = op.columns[pidx[(y, y)]].get(pidx[(x, y)], Fraction(0))
-        if v:
-            cvals[(x, y)] = v
-    kvals = {}
+    c = CentralElement(p, {
+        (x, y): op.columns[pidx[(y, y)]].get(pidx[(x, y)], 0)
+        for x, y in algebra.minmax_pairs(p)})
     ku = pidx[(u0, u0)]
-    for x in p.elements:
-        v = op.columns[pidx[(x, x)]].get(ku, Fraction(0))
-        if v:
-            kvals[x] = v
-    dec = HalfDerDecomposition(CentralElement(p, cvals), sigma,
-                               KappaMap(p, kvals), u0)
+    kappa = KappaMap(p, {x: op.columns[pidx[(x, x)]].get(ku, 0)
+                         for x in p.elements})
+    dec = HalfDerDecomposition(c, sigma, kappa, u0)
     if dec.reconstruct() != op:
+        ok, witness = is_half_derivation(op)
+        if not ok:
+            raise NotHalfDerivation(witness)
         raise ReconstructionMismatch("decomposition failed to rebuild the operator")
     return dec
 
@@ -403,14 +403,12 @@ def decomposition_report(dec):
     """JSON-shaped report; rationals as reduced strings."""
     return {
         "u0": dec.u0,
-        "c": [{"from": x, "to": y, "value": str(v)}
-              for (x, y), v in sorted(dec.c.values.items(),
-                                      key=lambda it: dec.c.owner.pair_key(it[0]))],
+        "c": [{"from": x, "to": y, "value": str(dec.c.values[(x, y)])}
+              for x, y in dec.c.support()],
         "sigma": [{"from": x, "to": y, "value": str(v)}
                   for (x, y), v in dec.sigma.by_representative()],
-        "kappa": [{"element": x, "value": str(v)}
-                  for x, v in sorted(dec.kappa.values.items(),
-                                     key=lambda it: dec.kappa.owner.index(it[0]))],
+        "kappa": [{"element": x, "value": str(dec.kappa.values[x])}
+                  for x in dec.kappa.support()],
     }
 
 

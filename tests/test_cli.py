@@ -315,6 +315,71 @@ def test_tp_rejects_a_table_that_repeats_a_product(capsys, data_dir,
     assert rc == 0 and rep["verify"]["witness"] is None
 
 
+def test_row_fields_must_be_lists(capsys, data_dir, tmp_path):
+    # {"mu": 5} used to escape as "TypeError: 'int' object is not iterable"
+    vee = str(data_dir / "vee.poset")
+    dfile = tmp_path / "data.json"
+    cases = [(["tp", mode], field) for mode in ("build", "normalize")
+             for field in ("mu", "nu", "lambda")]
+    cases += [(["tp", mode], "table") for mode in ("verify", "decompose")]
+    cases += [(["decompose"], "images")]
+    for command, field in cases:
+        for value in (5, 0.5, True, None, "1/2", {"x": "1"}):
+            dfile.write_text(json.dumps({field: value}))
+            err = _rejected(capsys, *command, vee, str(dfile))
+            assert err == {"type": "ParseError",
+                           "detail": "%s must be a list of rows" % field}
+
+
+def test_tp_rejects_a_component_row_given_twice(capsys, data_dir, tmp_path):
+    # nu(1, 2) given as 1 and then 5 used to keep 5 and exit 0
+    vee = str(data_dir / "vee.poset")
+    dfile = tmp_path / "data.json"
+    for field in ("mu", "nu", "lambda"):
+        dfile.write_text(json.dumps({field: [
+            {"x": "1", "y": "2", "value": 1},
+            {"x": "1", "y": "2", "value": 5}]}))
+        for mode in ("build", "normalize"):
+            err = _rejected(capsys, "tp", mode, vee, str(dfile))
+            assert err == {"type": "ParseError", "detail":
+                           "%s row ('1', '2') is given twice" % field}
+
+
+def test_deeply_nested_json_is_malformed(capsys, data_dir, tmp_path):
+    # used to escape as a RecursionError
+    dfile = tmp_path / "deep.json"
+    dfile.write_text('{"table": ' + "[" * 100000)
+    err = _rejected(capsys, "tp", "verify", str(data_dir / "vee.poset"),
+                    str(dfile))
+    assert err["type"] == "ParseError"
+    assert err["detail"].startswith("malformed JSON in %s: " % dfile)
+
+
+def test_input_files_must_be_utf8(capsys, data_dir, tmp_path):
+    # a poset file used to escape as a UnicodeDecodeError
+    pfile = tmp_path / "bad.poset"
+    pfile.write_bytes(b"elements: 1 2\n1 < 2 \xff\n")
+    dfile = tmp_path / "bad.json"
+    dfile.write_bytes(b'{"nu": "\xff"}')
+    for argv, path in ((["analyze", str(pfile)], pfile),
+                       (["tp", "build", str(data_dir / "vee.poset"),
+                         str(dfile)], dfile)):
+        err = _rejected(capsys, *argv)
+        assert err["type"] == "ParseError"
+        assert err["detail"].startswith("cannot read %s: " % path)
+
+
+def test_halfder_rejects_a_non_integer_oracle_cap(capsys, data_dir,
+                                                  monkeypatch):
+    # used to escape as a ValueError
+    for cap in ("abc", "1.5", ""):
+        monkeypatch.setenv("LIETP_ORACLE_CAP", cap)
+        err = _rejected(capsys, "halfder", str(data_dir / "vee.poset"),
+                        "--oracle")
+        assert err["type"] == "ParseError"
+        assert err["detail"].startswith("bad LIETP_ORACLE_CAP: ")
+
+
 def test_poset_file_rejects_repeated_cover(capsys, tmp_path):
     pfile = tmp_path / "dup.poset"
     pfile.write_text("elements: 1 2 3\n1 < 2\n1 < 3\n1 < 2\n")
