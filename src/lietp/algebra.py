@@ -197,14 +197,6 @@ def identity(p):
     return element(p, {(x, x): 1 for x in p.elements})
 
 
-def subset_diag(p, Y):
-    """e_Y, the sum of e_x over x in Y."""
-    Y = set(Y)
-    for x in Y:
-        p.index(x)
-    return element(p, {(x, x): 1 for x in Y})
-
-
 def multiply(f, g):
     """Associative product: (fg)(x,y) = sum over x<=z<=y of f(x,z)g(z,y)."""
     f._check_owner(g)
@@ -229,45 +221,6 @@ def multiply(f, g):
 
 def commutator(f, g):
     return multiply(f, g) - multiply(g, f)
-
-
-def split_diag(f):
-    """f = f_D + f_J: the diagonal part and the strictly ordered part."""
-    pairs = f.owner.pairs
-    d, j = {}, {}
-    for k, c in f.coeffs.items():
-        x, y = pairs[k]
-        (d if x == y else j)[k] = c
-    return IncidenceElement(f.owner, d), IncidenceElement(f.owner, j)
-
-
-def restrict(f, Y):
-    """f = f_Y + f_Y^c relative to a vertex subset Y."""
-    p = f.owner
-    Y = set(Y)
-    for x in Y:
-        p.index(x)
-    pairs = p.pairs
-    inside, outside = {}, {}
-    for k, c in f.coeffs.items():
-        x, y = pairs[k]
-        (inside if x in Y and y in Y else outside)[k] = c
-    return IncidenceElement(p, inside), IncidenceElement(p, outside)
-
-
-def canonical_bases(p):
-    """Canonical bases of the center, the commutator subspace and its center.
-
-    Z(I) is spanned by the identity; [I,I] by the strict e_xy; Z([I,I]) by
-    the e_xy with x minimal and y maximal.
-    """
-    mins, maxs = set(p._mins), set(p._maxs)
-    return {
-        "center": [identity(p)],
-        "commutator_subspace": [unit(p, x, y) for x, y in p.strict_pairs],
-        "center_of_commutator": [unit(p, x, y) for x, y in p.strict_pairs
-                                 if x in mins and y in maxs],
-    }
 
 
 def minmax_pairs(p):

@@ -3,7 +3,8 @@
 Subcommands: analyze, halfder, decompose, tp {build,verify,decompose,normalize},
 examples.  Every report is a JSON document on stdout, deterministic byte for
 byte across runs; the exit code is 0 exactly when every check in the report
-passed.
+passed.  A bad command line gets an error report too; only --help prints
+argparse's usage text instead.
 """
 
 import argparse
@@ -13,15 +14,20 @@ import sys
 from fractions import Fraction
 
 from . import algebra, halfder, poset, tpstruct
-from .errors import CapExceeded, GoldenMismatch, LietpError, ParseError
+from .errors import (CapExceeded, GoldenMismatch, LietpError, ParseError,
+                     TooLarge)
 
 
 def _read(path):
-    """The text of a UTF-8 input file; a failure to read it is a ParseError."""
+    """The text of a UTF-8 input file; a failure to read it is a ParseError.
+
+    open() raises ValueError for a path with a NUL byte, and reading
+    raises UnicodeDecodeError, a ValueError, for a file that is not UTF-8.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
 
 
@@ -110,7 +116,7 @@ def _decomposition_from_data(p, data, u0):
 
 def _decomposition_payload(dec):
     def rows(m):
-        return [{"x": x, "y": y, "value": str(m.values[(x, y)])}
+        return [{"x": x, "y": y, "value": m.values[(x, y)]}
                 for x, y in m.support()]
 
     return {"u0": dec.u0, "mu": rows(dec.mu), "nu": rows(dec.nu),
@@ -244,7 +250,7 @@ def cmd_tp(args):
         "u0": u0,
         "decomposition": _decomposition_payload(norm),
         "automorphism": [
-            {"from": x, "to": y, "scale": str(scales[(x, y)])}
+            {"from": x, "to": y, "scale": scales[(x, y)]}
             for x, y in norm.nu.support()],
         "consistent": consistent,
     })
@@ -457,8 +463,17 @@ def cmd_examples(args):
     return _run_examples(), True
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises a ParseError for a bad command line, in place
+    of printing usage on stderr and exiting 2, so that the command line
+    gets the same JSON error report as a bad input file."""
+
+    def error(self, message):
+        raise ParseError("%s: %s" % (self.prog, message))
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lietp",
         description="Half-derivations and transposed Poisson structures "
                     "on the Lie incidence algebra of a finite poset.")
@@ -497,19 +512,34 @@ def _build_parser():
     return parser
 
 
-def _emit(report):
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+def _dumps(report):
+    """The report as JSON text, with Fractions as "p/q" strings.
+
+    An integer of more digits than Python converts to decimal (4,300 by
+    default, sys.get_int_max_str_digits) makes json.dumps raise ValueError,
+    the only ValueError it raises on a report; that result is refused with
+    TooLarge.  The limit stays in force, so a huge input literal is still
+    refused as soon as it is read, before any work is done on it.
+    """
+    try:
+        return json.dumps(report, indent=2, default=str)
+    except ValueError:
+        raise TooLarge("a result value has too many digits to print")
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    """Run one command; print its report, or one error report for a bad
+    command line or input, as one JSON document; return the exit code."""
+    command = None
     try:
+        args = _build_parser().parse_args(argv)
+        command = args.command
         report, ok = args.func(args)
+        text = _dumps(report)
     except LietpError as exc:
-        _emit({"command": args.command,
-               "error": {"type": type(exc).__name__, "detail": str(exc)}})
-        return 1
-    _emit(report)
+        text, ok = _dumps({"command": command, "error": {
+            "type": type(exc).__name__, "detail": str(exc)}}), False
+    sys.stdout.write(text + "\n")
     return 0 if ok else 1
 
 

@@ -33,10 +33,6 @@ class NotExtreme(LietpError):
     pass
 
 
-class InvalidWalk(LietpError):
-    pass
-
-
 class OwnerMismatch(LietpError):
     """Operands belong to different posets."""
 
@@ -46,7 +42,8 @@ class UnknownElement(LietpError):
 
 
 class TooLarge(LietpError):
-    """Linear system dimension beyond the configured oracle cap."""
+    """A size past a limit: a linear system beyond the configured oracle
+    cap, or a result value too long to print as a decimal string."""
 
 
 class NotHalfDerivation(LietpError):
@@ -54,16 +51,6 @@ class NotHalfDerivation(LietpError):
         self.witness = witness
         super().__init__("operator fails the half-derivation identity"
                          + (" at basis pair %s, %s" % witness if witness else ""))
-
-
-class MalformedImage(LietpError):
-    """Image of a strict basis pair is not a scalar multiple of that pair.
-
-    Kept for callers that catch it; lietp no longer raises it, because every
-    half-derivation maps a strict basis pair to a multiple of itself (the
-    argument is in halfder.decompose), and any other operator fails with
-    NotHalfDerivation.
-    """
 
 
 class NotCentralInCommutator(LietpError):

@@ -18,7 +18,7 @@ from . import algebra
 from .errors import (NotCentralInCommutator, NotHalfDerivation,
                      OwnerMismatch, ReconstructionMismatch, TooLarge,
                      UnknownElement)
-from .poset import Walk, pair_classes
+from .poset import pair_classes
 
 DEFAULT_ORACLE_CAP = 5000
 
@@ -75,10 +75,6 @@ def zero_operator(p):
     return LinearOperator(p, [{} for _ in p.pairs])
 
 
-def identity_operator(p):
-    return LinearOperator(p, [{j: Fraction(1)} for j in range(len(p.pairs))])
-
-
 def operator_from_images(p, images):
     """Operator with prescribed images {basis pair: IncidenceElement}; missing pairs map to 0."""
     cols = [{} for _ in p.pairs]
@@ -90,16 +86,6 @@ def operator_from_images(p, images):
             raise OwnerMismatch("image element belongs to a different poset")
         cols[k] = dict(img.coeffs)
     return LinearOperator(p, cols)
-
-
-def apply(op, f):
-    """Matrix-vector product."""
-    if op.owner is not f.owner:
-        raise OwnerMismatch("operator and element of different posets")
-    acc = {}
-    for j, c in f.coeffs.items():
-        algebra.add_scaled(acc, op.columns[j], c)
-    return algebra.IncidenceElement(op.owner, acc)
 
 
 def _pair_ends(p):
@@ -198,11 +184,6 @@ class CentralElement(algebra.RationalMap):
         return algebra.element(self.owner, self.values)
 
 
-def central_from_element(elem):
-    """Reinterpret an IncidenceElement as a CentralElement; fails off the Z([I,I]) basis."""
-    return CentralElement(elem.owner, dict(elem.items()))
-
-
 class KappaMap(algebra.RationalMap):
     """Rational weight per poset element."""
 
@@ -252,40 +233,6 @@ def sigma_from_map(p, raw):
             raise ValueError("map is not constant on class %s" % (cls,))
         values.append(vals.pop())
     return SigmaMap(partition, values)
-
-
-def is_admissible(raw, p):
-    """True iff the raw map is constant on chains and on cycles."""
-    try:
-        sigma_from_map(p, raw)
-    except ValueError:
-        return False
-    return True
-
-
-def _sigma_value(sigma, x, y):
-    if isinstance(sigma, SigmaMap):
-        return sigma.value(x, y)
-    return algebra.as_rational(sigma.get((x, y), 0))
-
-
-def walk_functionals(sigma, walk, x):
-    """The four edge sums (s+, s-, t+, t-) of a walk at the element x."""
-    if not isinstance(walk, Walk):
-        raise TypeError("walk_functionals needs a Walk")
-    walk.owner.index(x)
-    sp = sm = tp = tm = Fraction(0)
-    verts = walk.vertices
-    for a, b in zip(verts, verts[1:]):
-        if a == x and walk.owner.less(a, b):
-            sp += _sigma_value(sigma, x, b)
-        if b == x and walk.owner.less(b, a):
-            sm += _sigma_value(sigma, x, a)
-        if a == x and walk.owner.less(b, a):
-            tp += _sigma_value(sigma, b, x)
-        if b == x and walk.owner.less(a, b):
-            tm += _sigma_value(sigma, a, x)
-    return sp, sm, tp, tm
 
 
 def inner(c):

@@ -10,9 +10,8 @@ Conventions used across the package:
 from collections import deque
 from itertools import count
 
-from .errors import (CapExceeded, CycleInOrder, InvalidWalk, NotConnected,
-                     NotExtreme, ParseError, RedundantCover, TooSmall,
-                     UnknownElement)
+from .errors import (CapExceeded, CycleInOrder, NotConnected, NotExtreme,
+                     ParseError, RedundantCover, TooSmall, UnknownElement)
 
 
 class Poset(object):
@@ -186,59 +185,16 @@ def min_max(p):
     return list(p._mins), list(p._maxs)
 
 
-class Walk(object):
-    """Sequence of vertices where every step follows a cover edge up or down."""
-
-    def __init__(self, owner, vertices):
-        vertices = tuple(vertices)
-        if not vertices:
-            raise InvalidWalk("a walk needs at least one vertex")
-        for v in vertices:
-            owner.index(v)
-        for a, b in zip(vertices, vertices[1:]):
-            if not (owner.is_cover(a, b) or owner.is_cover(b, a)):
-                raise InvalidWalk("step (%r, %r) is not a cover edge" % (a, b))
-        self.owner = owner
-        self.vertices = vertices
-
-    @property
-    def length(self):
-        return len(self.vertices) - 1
-
-    def is_closed(self):
-        return self.vertices[0] == self.vertices[-1]
-
-    def is_cycle(self):
-        if not self.is_closed() or self.length < 4:
-            return False
-        interior = self.vertices[:-1]
-        return len(set(interior)) == len(interior)
-
-    def compose(self, other):
-        if self.vertices[-1] != other.vertices[0]:
-            raise InvalidWalk("walks are not composable")
-        return Walk(self.owner, self.vertices + other.vertices[1:])
-
-    def inverse(self):
-        return Walk(self.owner, tuple(reversed(self.vertices)))
-
-    def __eq__(self, other):
-        return (isinstance(other, Walk) and other.owner is self.owner
-                and other.vertices == self.vertices)
-
-    def __hash__(self):
-        return hash(self.vertices)
-
-    def __repr__(self):
-        return "Walk(%s)" % (",".join(repr(v) for v in self.vertices))
-
-
 def enumerate_cycles(p, cap=10000):
-    """All simple cycles of the cover graph, one Walk per cycle.
+    """All simple cycles of the cover graph, each as a closed tuple of
+    vertices (its first vertex repeated at the end).
 
-    Test oracle only: exponential in general, capped. Each cycle is
-    reported once, starting at its smallest vertex, in the direction whose
-    second vertex is smaller than its last.
+    `lietp analyze` counts cycles with it.  The search is exponential in
+    general: it raises CapExceeded past `cap` cycles, but the paths it
+    explores are not capped, and on a random poset with 80 elements and
+    110 covers it does not finish within 60 s (ROADMAP item 5).  Each
+    cycle is reported once, starting at its smallest vertex, in the
+    direction whose second vertex is smaller than its last.
     """
     idx = p.index
     cycles = []
@@ -253,10 +209,9 @@ def enumerate_cycles(p, cap=10000):
                     if idx(path[1]) < idx(path[-1]):
                         if len(cycles) >= cap:
                             raise CapExceeded("more than %d cycles" % cap)
-                        walk = Walk(p, path + [s])
                         # cover graphs carry no triangles
-                        assert walk.length >= 4
-                        cycles.append(walk)
+                        assert len(path) >= 4
+                        cycles.append(tuple(path) + (s,))
                 elif idx(w) > si and w not in onpath:
                     stack.append((w, path + [w], onpath | {w}))
     return cycles
@@ -453,22 +408,3 @@ def sign_and_vset(p, u0, pair):
     except (KeyError, TypeError):
         raise NotExtreme("%r is not an extreme pair" % (pair,))
     return sgn, frozenset(order[lo:hi])
-
-
-def walk_between(p, u, v):
-    """Shortest cover-graph walk from u to v; breadth-first, canonical tie-break."""
-    p.index(u), p.index(v)
-    prev = {u: None}
-    queue = deque([u])
-    while queue:
-        a = queue.popleft()
-        if a == v:
-            break
-        for b in p.adjacency[a]:
-            if b not in prev:
-                prev[b] = a
-                queue.append(b)
-    path = [v]
-    while path[-1] != u:
-        path.append(prev[path[-1]])
-    return Walk(p, reversed(path))

@@ -194,17 +194,6 @@ def _mu_condition_holds(p, values):
     return count == len(col0) * sum(1 for r in rows.values() if r)
 
 
-def validate_mu(p, raw):
-    """True iff the raw map is symmetric and mu(x,y) sum_v mu(z,v) =
-    mu(y,z) sum_v mu(x,v) for all x, y, z: that is, the row sums r vanish
-    or every column of mu is a multiple of r (see MuMap)."""
-    try:
-        MuMap(p, dict(raw))
-    except (ValueError, MuNotAssociative):
-        return False
-    return True
-
-
 # The _*_entries functions add a family's products, from its values
 # {key: v}, into entries {(i, j): {r: v}}; the values may be Fractions or
 # the integers of a table cleared of denominators.
@@ -290,24 +279,6 @@ def sum_products(a, b):
     for key, elem in b.table.items():
         _accumulate(entries, key, elem.coeffs)
     return _build(a.owner, entries)
-
-
-def orthogonal(a, b):
-    """True iff every product of one structure annihilates under the other."""
-    if a.owner is not b.owner:
-        raise OwnerMismatch("products over different posets")
-    B = len(a.owner.pairs)
-    for first, second in ((a, b), (b, a)):
-        for elem in first.table.values():
-            for k in range(B):
-                acc = {}
-                for r, c in elem.coeffs.items():
-                    other = second.table.get(_table_key(r, k))
-                    if other is not None:
-                        algebra.add_scaled(acc, other.coeffs, c)
-                if acc:
-                    return False
-    return True
 
 
 def _first_assoc_failure(rows):

@@ -1,10 +1,12 @@
 """Shared test utilities.
 
 Independent brute-force routes (iso-class catalogs, cycle-based pair rules,
-walk formulas) live here so the tests never trust the code path under test.
+walks and the walk formula, dense operator application) live here so the
+tests never trust the code path under test.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -12,9 +14,9 @@ from itertools import permutations, product
 from lietp import algebra, poset, tpstruct
 from lietp.errors import LietpError
 from lietp.halfder import (CentralElement, KappaMap, LinearOperator, SigmaMap,
-                           central_valued, inner, phi_sigma, walk_functionals)
+                           central_valued, inner, phi_sigma)
 from lietp.poset import (blocks_and_bridges, build_poset, enumerate_cycles,
-                         pair_classes, walk_between)
+                         pair_classes)
 
 
 def chain(n):
@@ -190,6 +192,84 @@ def random_element(p, rng):
         p, {pr: random_fraction(rng) for pr in p.pairs if rng.random() < 0.5})
 
 
+# --- walks, the walk formula and dense operator application -----------------
+
+class Walk(object):
+    """Sequence of vertices where every step follows a cover edge up or down."""
+
+    def __init__(self, owner, vertices):
+        vertices = tuple(vertices)
+        if not vertices:
+            raise ValueError("a walk needs at least one vertex")
+        for v in vertices:
+            owner.index(v)
+        for a, b in zip(vertices, vertices[1:]):
+            if not (owner.is_cover(a, b) or owner.is_cover(b, a)):
+                raise ValueError("step (%r, %r) is not a cover edge" % (a, b))
+        self.owner = owner
+        self.vertices = vertices
+
+    @property
+    def length(self):
+        return len(self.vertices) - 1
+
+    def is_cycle(self):
+        interior = self.vertices[:-1]
+        return (self.vertices[0] == self.vertices[-1] and self.length >= 4
+                and len(set(interior)) == len(interior))
+
+    def compose(self, other):
+        if self.vertices[-1] != other.vertices[0]:
+            raise ValueError("walks are not composable")
+        return Walk(self.owner, self.vertices + other.vertices[1:])
+
+    def inverse(self):
+        return Walk(self.owner, reversed(self.vertices))
+
+
+def walk_between(p, u, v):
+    """Shortest cover-graph walk from u to v; breadth-first, canonical tie-break."""
+    p.index(u), p.index(v)
+    prev = {u: None}
+    queue = deque([u])
+    while queue:
+        a = queue.popleft()
+        if a == v:
+            break
+        for b in p.adjacency[a]:
+            if b not in prev:
+                prev[b] = a
+                queue.append(b)
+    path = [v]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return Walk(p, reversed(path))
+
+
+def _sigma_value(sigma, x, y):
+    if isinstance(sigma, SigmaMap):
+        return sigma.value(x, y)
+    return algebra.as_rational(sigma.get((x, y), 0))
+
+
+def walk_functionals(sigma, walk, x):
+    """The four edge sums (s+, s-, t+, t-) of a walk at the element x, for
+    a SigmaMap or a raw {strict pair: value} map."""
+    walk.owner.index(x)
+    sp = sm = tp = tm = Fraction(0)
+    verts = walk.vertices
+    for a, b in zip(verts, verts[1:]):
+        if a == x and walk.owner.less(a, b):
+            sp += _sigma_value(sigma, x, b)
+        if b == x and walk.owner.less(b, a):
+            sm += _sigma_value(sigma, x, a)
+        if a == x and walk.owner.less(b, a):
+            tp += _sigma_value(sigma, b, x)
+        if b == x and walk.owner.less(a, b):
+            tm += _sigma_value(sigma, a, x)
+    return sp, sm, tp, tm
+
+
 def random_walk(p, rng, u, v):
     """A walk u -> v through 0 to 2 random intermediate stops."""
     stops = ([u] + [rng.choice(p.elements) for _ in range(rng.randint(0, 2))]
@@ -204,6 +284,18 @@ def walk_diag_value(sigma, walk, x):
     """Walk formula for the diagonal of phi_sigma: -s+ + s- - t+ + t-."""
     sp, sm, tp, tm = walk_functionals(sigma, walk, x)
     return -sp + sm - tp + tm
+
+
+def identity_operator(p):
+    return LinearOperator(p, [{j: Fraction(1)} for j in range(len(p.pairs))])
+
+
+def apply(op, f):
+    """The image of the element f under op, column by column."""
+    acc = {}
+    for j, c in f.coeffs.items():
+        algebra.add_scaled(acc, op.columns[j], c)
+    return algebra.IncidenceElement(op.owner, acc)
 
 
 # --- brute-force half-derivation check ---------------------------------------
@@ -255,8 +347,7 @@ def brute_extreme_pairs(p):
     """Min-to-max cover pairs lying on no enumerated cycle."""
     on_cycle = set()
     for cyc in enumerate_cycles(p):
-        verts = cyc.vertices
-        for a, b in zip(verts, verts[1:]):
+        for a, b in zip(cyc, cyc[1:]):
             on_cycle.add(frozenset((a, b)))
     mins, maxs = poset.min_max(p)
     return [e for e in p.covers
@@ -301,9 +392,8 @@ def brute_pair_classes(p):
     """Pair classes from first principles: chain rule plus enumerated cycles."""
     groups = []
     for cyc in enumerate_cycles(p):
-        verts = cyc.vertices
         groups.append([(a, b) if p.less(a, b) else (b, a)
-                       for a, b in zip(verts, verts[1:])])
+                       for a, b in zip(cyc, cyc[1:])])
     return _chain_rule_classes(p, groups)
 
 

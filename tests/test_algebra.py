@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chain, full_catalog, random_element
-from lietp.algebra import (add_scaled, canonical_bases, commutator, diag_unit,
-                           element, from_records, identity, minmax_pairs,
-                           multiply, restrict, split_diag, subset_diag,
+from helpers import (apply, chain, full_catalog, random_element,
+                     walk_between, walk_functionals)
+from lietp.algebra import (add_scaled, commutator, diag_unit, element,
+                           from_records, identity, minmax_pairs, multiply,
                            to_records, unit, zero)
 from lietp.errors import (NotCentralInCommutator, OwnerMismatch, ParseError,
                           UnknownElement)
-from lietp.halfder import (CentralElement, KappaMap, SigmaMap, apply,
-                           identity_operator, is_admissible,
+from lietp.halfder import (CentralElement, KappaMap, SigmaMap,
                            operator_from_images, phi_sigma, sigma_from_map,
-                           walk_functionals, zero_operator)
-from lietp.poset import build_poset, pair_classes, walk_between
+                           zero_operator)
+from lietp.poset import build_poset, pair_classes
 from lietp.tpstruct import (LambdaMap, MuMap, NuElement, mutational,
                             tp_from_table, transport_product)
 
@@ -67,32 +66,6 @@ def test_owner_mismatch(chain3, vee):
         f + g
     with pytest.raises(OwnerMismatch):
         multiply(f, g)
-
-
-def test_split_diag_and_restrict(twochains):
-    f = element(twochains, {("1", "1"): 1, ("1", "2"): 2, ("2", "4"): 3,
-                            ("3", "3"): -1})
-    d, j = split_diag(f)
-    assert d + j == f
-    assert all(x == y for (x, y), _ in d.items())
-    assert all(x != y for (x, y), _ in j.items())
-    inside, outside = restrict(f, ["1", "2"])
-    assert inside + outside == f
-    assert inside == element(twochains, {("1", "1"): 1, ("1", "2"): 2})
-
-
-def test_subset_diag(crown):
-    e = subset_diag(crown, ["2", "4"])
-    assert e == diag_unit(crown, "2") + diag_unit(crown, "4")
-    assert subset_diag(crown, []).is_zero()
-
-
-def test_canonical_bases(branch4):
-    bases = canonical_bases(branch4)
-    assert bases["center"] == [identity(branch4)]
-    assert len(bases["commutator_subspace"]) == len(branch4.strict_pairs)
-    assert bases["center_of_commutator"] == [
-        unit(branch4, "1", "3"), unit(branch4, "1", "4")]
 
 
 def test_minmax_pairs_frozen(chain2, chain5, vee, zigzag, crown, branch4):
@@ -152,8 +125,7 @@ def test_commutators_have_no_diagonal_part(seed, pidx):
     rng = random.Random(seed)
     p = CATALOG[pidx]
     f, g = random_element(p, rng), random_element(p, rng)
-    d, _ = split_diag(commutator(f, g))
-    assert d.is_zero()
+    assert all(x != y for (x, y), _ in commutator(f, g).items())
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,12 +211,10 @@ VALUE_ENTRY_POINTS = {
         lambda p, v: SigmaMap(pair_classes(p), [v]).value("1", "2"),
     "sigma_from_map":
         lambda p, v: sigma_from_map(p, {("1", "2"): v}).value("1", "2"),
-    "is_admissible":
-        lambda p, v: is_admissible({("1", "2"): v}, p) and Fraction(v),
     "walk_functionals": lambda p, v: walk_functionals(
         {("1", "2"): v}, walk_between(p, "1", "2"), "1")[0],
-    "LinearOperator.scale":
-        lambda p, v: identity_operator(p).scale(v).columns[1][1],
+    "LinearOperator.scale": lambda p, v: operator_from_images(
+        p, {("1", "2"): unit(p, "1", "2")}).scale(v).columns[1][1],
     "transport_product": _transported,
 }
 

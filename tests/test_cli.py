@@ -388,6 +388,49 @@ def test_poset_file_rejects_repeated_cover(capsys, tmp_path):
                    "detail": "line 4: repeated cover '1 < 2'"}
 
 
+def test_bad_command_lines_are_parse_errors(capsys, data_dir):
+    # argparse used to print usage on stderr and exit 2 with no stdout
+    vee = str(data_dir / "vee.poset")
+    for argv, detail in (
+            ([], "lietp: the following arguments are required: command"),
+            (["analyze"],
+             "lietp analyze: the following arguments are required: poset"),
+            (["tp", "bogus", vee, "x"],
+             "lietp tp: argument mode: invalid choice: 'bogus'")):
+        err = _rejected(capsys, *argv)
+        assert err["type"] == "ParseError"
+        assert err["detail"].startswith(detail)
+
+
+def test_help_is_usage_text(capsys):
+    for argv in (["--help"], ["tp", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lietp")
+
+
+def test_a_result_too_long_to_print_is_too_large(capsys, data_dir,
+                                                 tmp_path):
+    # each value is read, but their sum has over 4,300 digits, and printing
+    # it used to escape as a ValueError
+    comps = tmp_path / "components.json"
+    comps.write_text(json.dumps(
+        {"u0": "1",
+         "mu": [{"x": "2", "y": "2", "value": "1/%d" % (10 ** 2501 + 1)}],
+         "lambda": [{"x": "1", "y": "2",
+                     "value": "1/%d" % (10 ** 2500 + 3)}]}))
+    chain2 = str(data_dir / "chain2.poset")
+    assert _rejected(capsys, "tp", "build", chain2, str(comps)) == {
+        "type": "TooLarge",
+        "detail": "a result value has too many digits to print"}
+    # the input limit stays: a literal of 10^6 digits is refused as read
+    comps.write_text(json.dumps(
+        {"mu": [{"x": "1", "y": "1", "value": "7" * 10 ** 6}]}))
+    assert _rejected(capsys, "tp", "build", chain2, str(comps))["type"] == (
+        "ParseError")
+
+
 def test_examples_pass(capsys):
     rc, rep = run_cli(capsys, "examples")
     assert rc == 0

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_extreme_pairs, brute_pair_classes, chain,
+from helpers import (Walk, brute_extreme_pairs, brute_pair_classes, chain,
                      data_catalog, full_catalog, random_connected_poset,
-                     reference_closure, reference_pair_classes)
+                     reference_closure, reference_pair_classes, walk_between)
 from lietp import poset, tpstruct
-from lietp.errors import (CapExceeded, CycleInOrder, InvalidWalk,
-                          NotConnected, NotExtreme, ParseError,
-                          RedundantCover, TooSmall, UnknownElement)
+from lietp.errors import (CapExceeded, CycleInOrder, NotConnected, NotExtreme,
+                          ParseError, RedundantCover, TooSmall,
+                          UnknownElement)
 from lietp.halfder import (half_derivation_space, is_half_derivation,
                            unit_brackets)
-from lietp.poset import (Walk, blocks_and_bridges, build_poset, closure,
+from lietp.poset import (blocks_and_bridges, build_poset, closure,
                          enumerate_cycles, extreme_pairs, min_max,
-                         pair_classes, parse_poset, sign_and_vset,
-                         walk_between)
+                         pair_classes, parse_poset, sign_and_vset)
 
 
 def test_parse_poset_basic():
@@ -136,9 +135,9 @@ def test_pairs_are_canonically_sorted(twochains):
 
 
 def test_walk_step_validation(chain3):
-    with pytest.raises(InvalidWalk):
+    with pytest.raises(ValueError):
         Walk(chain3, ("1", "3"))
-    with pytest.raises(InvalidWalk):
+    with pytest.raises(ValueError):
         Walk(chain3, ())
     assert Walk(chain3, ("2",)).length == 0
 
@@ -151,13 +150,13 @@ def test_walk_compose_inverse_cycle(crown):
     assert loop.is_cycle()
     assert loop.inverse().vertices == ("3", "2", "4", "1", "3")
     assert not Walk(crown, ("3", "1", "3")).is_cycle()
-    with pytest.raises(InvalidWalk):
+    with pytest.raises(ValueError):
         w1.compose(w1)
 
 
 def test_enumerate_cycles(crown, chain5, branch4):
     cycles = enumerate_cycles(crown)
-    assert [c.vertices for c in cycles] == [("1", "3", "2", "4", "1")]
+    assert cycles == [("1", "3", "2", "4", "1")]
     assert enumerate_cycles(chain5) == []
     assert enumerate_cycles(branch4) == []
     with pytest.raises(CapExceeded):
@@ -264,8 +263,7 @@ def test_random_posets_bridges_and_cycles_agree(seed):
     p = random_connected_poset(rng, rng.randint(4, 6))
     on_cycle = set()
     for cyc in enumerate_cycles(p):
-        verts = cyc.vertices
-        on_cycle.update(frozenset(e) for e in zip(verts, verts[1:]))
+        on_cycle.update(frozenset(e) for e in zip(cyc, cyc[1:]))
     _, bridges = blocks_and_bridges(p)
     assert {frozenset(e) for e in p.covers} - on_cycle == {
         frozenset(e) for e in bridges}
