@@ -7,8 +7,7 @@ Conventions used across the package:
     have x < y and no element strictly between.
 """
 
-from collections import deque
-from itertools import count
+from itertools import accumulate, count, repeat
 
 from .errors import (CapExceeded, CycleInOrder, NotConnected, NotExtreme,
                      ParseError, RedundantCover, TooSmall, UnknownElement)
@@ -17,22 +16,26 @@ from .errors import (CapExceeded, CycleInOrder, NotConnected, NotExtreme,
 class Poset(object):
     """Immutable finite connected poset. Build through build_poset()."""
 
-    def __init__(self, elements, leq, covers):
-        self.elements = list(elements)
-        self._idx = {x: i for i, x in enumerate(self.elements)}
-        self._leq = frozenset(leq)
-        self.covers = sorted(covers, key=self.pair_key)
-        # basis order for the incidence algebra: all comparable pairs
-        self.pairs = sorted(self._leq, key=self.pair_key)
-        self.pair_index = {pr: k for k, pr in enumerate(self.pairs)}
-        self.strict_pairs = [(x, y) for (x, y) in self.pairs if x != y]
+    def __init__(self, elements, rows, upper, lower):
+        """rows[i]: the indices j, ascending, with elements[i] <= elements[j];
+        upper[i], lower[i]: those that cover i and that i covers, ascending."""
+        self.elements = el = list(elements)
+        self._idx = {x: i for i, x in enumerate(el)}
+        self._rows, self._upper = rows, upper
+        # basis order for the incidence algebra: all comparable pairs, read
+        # off the closure rows already in canonical order
+        self.pairs = pairs = []
+        for x, row in zip(el, rows):
+            pairs.extend(zip(repeat(x), map(el.__getitem__, row)))
+        self.pair_index = dict(zip(pairs, range(len(pairs))))
+        self.strict_pairs = [(x, y) for (x, y) in pairs if x != y]
+        self.covers = [(x, el[j]) for x, up in zip(el, upper) for j in up]
         self._cover_set = set(self.covers)
-        upper = _successors(self.elements, self.covers)
-        lower = _successors(self.elements, [(y, x) for x, y in self.covers])
-        self.adjacency = {x: sorted(lower[x] + upper[x], key=self._idx.__getitem__)
-                          for x in self.elements}
-        self._mins = [x for x in self.elements if not lower[x]]
-        self._maxs = [x for x in self.elements if not upper[x]]
+        self._adj = [sorted(lo + up) for lo, up in zip(lower, upper)]
+        self.adjacency = {x: list(map(el.__getitem__, adj))
+                          for x, adj in zip(el, self._adj)}
+        self._mins = [x for x, lo in zip(el, lower) if not lo]
+        self._maxs = [x for x, up in zip(el, upper) if not up]
         self._memo = {}
 
     def memo(self, key, compute):
@@ -60,10 +63,10 @@ class Poset(object):
         return (self._idx[pair[0]], self._idx[pair[1]])
 
     def leq(self, x, y):
-        return (x, y) in self._leq
+        return (x, y) in self.pair_index
 
     def less(self, x, y):
-        return x != y and (x, y) in self._leq
+        return x != y and (x, y) in self.pair_index
 
     def is_cover(self, x, y):
         return (x, y) in self._cover_set
@@ -72,77 +75,70 @@ class Poset(object):
         return "Poset(%r)" % (self.elements,)
 
 
-def _successors(elements, pairs):
-    """{x: [y for each pair (x, y)]}, in the order of the pairs."""
-    succ = {x: [] for x in elements}
-    for x, y in pairs:
-        succ[x].append(y)
-    return succ
+def closure(succ):
+    """Reflexive-transitive closure of i -> j for j in succ[i] on indices
+    0..n-1: rows[i] lists, ascending, every j reachable from i, i included.
 
-
-def closure(pairs, elements):
-    """Reflexive-transitive closure as a set of (x, y) pairs, x <= y.
-
-    One depth-first search from each element along the given pairs, whose
-    labels must all be elements: O(n·E) for n elements and E pairs.
+    One depth-first search per index, O(n·E) for E relation pairs, that
+    takes in whole the reachable set of any index already done.
     """
-    succ = _successors(elements, pairs)
-    rel = set()
-    for x in elements:
-        seen = {x}
-        stack = [x]
+    reach = [None] * len(succ)
+    for i in range(len(succ)):
+        seen = reach[i] = {i}
+        stack = [i]
         while stack:
             for w in succ[stack.pop()]:
                 if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        rel.update((x, y) for y in seen)
-    return rel
+                    if reach[w] is None:
+                        seen.add(w)
+                        stack.append(w)
+                    else:
+                        seen |= reach[w]
+    return [sorted(seen) for seen in reach]
 
 
 def build_poset(labels, cover_pairs):
-    labels = list(labels)
+    labels, cover_pairs = list(labels), list(cover_pairs)
     if len(set(labels)) != len(labels):
         raise ParseError("duplicate labels")
     if len(labels) < 2:
         raise TooSmall("a poset needs at least 2 elements, got %d" % len(labels))
-    known = set(labels)
+    idx = {x: i for i, x in enumerate(labels)}
     for x, y in cover_pairs:
-        if x not in known or y not in known:
+        if x not in idx or y not in idx:
             raise UnknownElement("cover pair (%r, %r) uses an unknown label" % (x, y))
         if x == y:
             raise CycleInOrder("reflexive pair (%r, %r) is not a strict cover" % (x, y))
-    p = Poset(labels, closure(cover_pairs, labels), set(cover_pairs))
-    # the first of the canonically sorted pairs that is comparable both ways
-    for x, y in p.strict_pairs:
-        if p.leq(y, x):
-            raise CycleInOrder("%r and %r are comparable both ways" % (x, y))
+    upper, lower = [[] for _ in labels], [[] for _ in labels]
+    for i, j in sorted({(idx[x], idx[y]) for x, y in cover_pairs}):
+        upper[i].append(j)
+        lower[j].append(i)
+    rows = closure(upper)
+    # the first canonical pair (i, j), j != i, comparable both ways: j in
+    # rows[i] makes rows[j] a subset of rows[i], equal iff i is in rows[j]
+    size = [len(row) for row in rows]
+    for i, row in enumerate(rows):
+        if list(map(size.__getitem__, row)).count(size[i]) > 1:
+            j = next(j for j in row if j != i and size[j] == size[i])
+            raise CycleInOrder("%r and %r are comparable both ways"
+                               % (labels[i], labels[j]))
     # the input must be exactly the covers of its closure: (x, y) is not a
     # cover iff another upper neighbour z of x lies below y
-    upper = _successors(labels, p.covers)
-    extra = [(x, y) for x, y in p.covers
-             if any(z != y and p.leq(z, y) for z in upper[x])]
+    extra = [(labels[i], labels[j]) for i, up in enumerate(upper) for j in up
+             if len(up) > 1 and any(z != j and j in rows[z] for z in up)]
     if extra:
         raise RedundantCover("input pairs %s are not cover edges after closure" % (extra,))
-    seen = _component_of(p, labels[0], None)
+    p = Poset(labels, rows, upper, lower)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in p._adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     if len(seen) != len(labels):
         raise NotConnected("cover graph is disconnected")
     return p
-
-
-def _component_of(p, start, removed_edge):
-    """Vertices reachable from start in the cover graph, optionally with one edge removed."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in p.adjacency[v]:
-            if removed_edge is not None and {v, w} == removed_edge:
-                continue
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
 
 
 def parse_poset(text):
@@ -217,53 +213,72 @@ def enumerate_cycles(p, cap=10000):
     return cycles
 
 
-def blocks_and_bridges(p):
-    """Biconnected blocks (as sets of cover pairs) and the bridge set.
+def _block_search(p):
+    """The cover edges of each biconnected block of the cover graph, as
+    index pairs in either direction, from one iterative depth-first search
+    (Hopcroft–Tarjan); the graph is connected, so one root reaches all."""
+    adj = p._adj
+    disc, low = [0] + [-1] * (len(adj) - 1), [0] * len(adj)
+    timer = count(1)
+    edge_stack, blocks = [], []
+    # frame: vertex, parent, neighbours left, edge-stack index of its tree edge
+    stack = [(0, -1, iter(adj[0]), 0)]
+    while stack:
+        v, parent, children, mark = stack[-1]
+        for w in children:
+            if w == parent:
+                continue
+            if disc[w] < 0:
+                stack.append((w, v, iter(adj[w]), len(edge_stack)))
+                edge_stack.append((v, w))
+                disc[w] = low[w] = next(timer)
+                break
+            if disc[w] < disc[v]:
+                edge_stack.append((v, w))
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    blocks.append(edge_stack[mark:])
+                    del edge_stack[mark:]
+    return blocks
 
-    A cover edge lies on some cycle iff it is not a bridge.
+
+def _cover_graph_data(p):
+    """From one _block_search(p) per poset: the blocks of more than one
+    edge, each a canonically sorted tuple of its edges, ordered by their
+    first edge, and the extreme pairs as a dict with value None, in
+    canonical order."""
+    def compute(q):
+        el, upper = q.elements, q._upper
+        cycle_blocks = tuple(tuple((el[a], el[b]) for a, b in block) for block in sorted(
+            sorted((a, b) if b in upper[a] else (b, a) for a, b in block)
+            for block in _block_search(q) if len(block) > 1))
+        on_cycle = {e for b in cycle_blocks for e in b}
+        mins, maxs = set(q._mins), set(q._maxs)
+        return (cycle_blocks,
+                dict.fromkeys(e for e in q.covers if e not in on_cycle
+                              and e[0] in mins and e[1] in maxs))
+    return p.memo("blocks_and_bridges", compute)
+
+
+def blocks_and_bridges(p):
+    """Biconnected blocks (as sets of cover pairs) and the bridge set,
+    blocks ordered by their first edge.
+
+    A cover edge lies on some cycle iff it is not a bridge, and a bridge is
+    a block on its own.  Derived from the blocks of more than one edge that
+    the one memoised search keeps (_cover_graph_data), with no new search.
     """
-    cover_of = {frozenset(e): e for e in p.covers}
-    disc, low = {}, {}
-    edge_stack = []
-    raw_blocks = []
-    timer = count()
-    for root in p.elements:
-        if root in disc:
-            continue
-        disc[root] = low[root] = next(timer)
-        stack = [(root, None, iter(p.adjacency[root]))]
-        while stack:
-            v, parent, children = stack[-1]
-            advanced = False
-            for w in children:
-                if w == parent:
-                    continue
-                if w not in disc:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = next(timer)
-                    stack.append((w, v, iter(p.adjacency[w])))
-                    advanced = True
-                    break
-                if disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        block = []
-                        while edge_stack:
-                            e = edge_stack.pop()
-                            block.append(cover_of[frozenset(e)])
-                            if e == (u, v):
-                                break
-                        raw_blocks.append(block)
-    blocks = [frozenset(b) for b in raw_blocks]
-    blocks.sort(key=lambda b: min(p.pair_key(e) for e in b))
-    bridges = {next(iter(b)) for b in blocks if len(b) == 1}
-    return blocks, bridges
+    cycle_blocks = _cover_graph_data(p)[0]
+    on_cycle = {e for b in cycle_blocks for e in b}
+    bridges = {e for e in p.covers if e not in on_cycle}
+    blocks = list(cycle_blocks) + [(e,) for e in bridges]
+    blocks.sort(key=lambda b: p.pair_key(b[0]))
+    return [frozenset(b) for b in blocks], bridges
 
 
 class PairClassPartition(object):
@@ -272,10 +287,7 @@ class PairClassPartition(object):
     def __init__(self, owner, classes):
         self.owner = owner
         self.classes = classes
-        self.class_of = {}
-        for k, cls in enumerate(classes):
-            for pr in cls:
-                self.class_of[pr] = k
+        self.class_of = {pr: k for k, cls in enumerate(classes) for pr in cls}
 
     def representative(self, k):
         return self.classes[k][0]
@@ -288,18 +300,21 @@ def pair_classes(p):
     """Finest partition of the strict pairs that is constant on chains and
     on the cover edges of each cycle.
 
-    (a) Chains, through covers: (x, y) is joined to (x, z) for every cover
-    x ⋖ z with z < y, and a ⋖ b to b ⋖ c for every two consecutive covers.
-    Each such join lies on a chain, and refining any chain to covers
-    c0 ⋖ ... ⋖ ck links each (ci, cj) to (ci, ci+1) and those to each
-    other, so this is the same partition as joining every two pairs of a
-    common chain, in O(P·deg) instead of O(P²) for P strict pairs.
+    (a) Chains: refining a chain to covers c0 ⋖ ... ⋖ ck, each of its pairs
+    (ci, cj) lies on the chain of covers ci ⋖ ci+1 ⋖ ... ⋖ cj, so joining
+    every two consecutive covers a ⋖ b ⋖ c and then each strict pair
+    (x, y) to a cover x ⋖ z with z <= y is the same as joining every two
+    pairs of a common chain.
     (b) Cycles: the cover edges of each biconnected block of more than one
     edge are joined.
+    The union-find therefore runs over the E cover edges, not the P strict
+    pairs.  Which cover x ⋖ z <= y a pair takes does not matter: two covers
+    x ⋖ z1 and x ⋖ z2 below y close, through two chains up to y, a simple
+    cycle, so they already share a block.
     """
-    pidx, leq = p.pair_index, p._leq
-    upper = _successors(p.elements, p.covers)
-    parent = list(range(len(p.pairs)))
+    el, rows, upper = p.elements, p._rows, p._upper
+    cover_id = {e: k for k, e in enumerate(p.covers)}
+    parent = list(range(len(cover_id)))
 
     def find(a):
         while parent[a] != a:
@@ -307,46 +322,30 @@ def pair_classes(p):
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    # (a) chains, through covers
-    for x, y in p.strict_pairs:
-        k = pidx[(x, y)]
-        for z in upper[x]:
-            if z != y and (z, y) in leq:
-                union(k, pidx[(x, z)])
-    for a, b in p.covers:
-        k = pidx[(a, b)]
-        for c in upper[b]:
-            union(k, pidx[(b, c)])
+    # cover ids of element i's upper covers: first[i] to first[i + 1]
+    first = list(accumulate(map(len, upper), initial=0))
+    # (a) consecutive covers a ⋖ b ⋖ c
+    for a, up in enumerate(upper):
+        for k, b in enumerate(up, first[a]):
+            for c in range(first[b], first[b + 1]):
+                parent[find(k)] = find(c)
     # (b) cover edges sharing a non-bridge biconnected block
-    cycle_blocks, _extreme = _cover_graph_data(p)
-    for edges in cycle_blocks:
+    for edges in _cover_graph_data(p)[0]:
         for e in edges[1:]:
-            union(pidx[edges[0]], pidx[e])
+            parent[find(cover_id[edges[0]])] = find(cover_id[e])
 
     grouped = {}
-    for pr in p.strict_pairs:
-        grouped.setdefault(find(pidx[pr]), []).append(pr)
-    # strict_pairs is canonically sorted, so each class is, and classes
-    # come out ordered by their first pair
+    for i, x in enumerate(el):
+        # each j above i, mapped to the class of a cover of i below j
+        cls = {}
+        for k, z in enumerate(upper[i], first[i]):
+            cls.update(dict.fromkeys(rows[z], find(k)))
+        for j in rows[i]:
+            if j != i:
+                grouped.setdefault(cls[j], []).append((x, el[j]))
+    # pairs are met in canonical order, so each class is canonically
+    # sorted, and classes come out ordered by their first pair
     return PairClassPartition(p, list(grouped.values()))
-
-
-def _cover_graph_data(p):
-    """From one blocks_and_bridges(p) per poset: the blocks of more than one
-    edge, each a canonically sorted tuple of its edges, and the extreme pairs
-    as a dict with value None, in canonical order."""
-    def compute(q):
-        blocks, bridges = blocks_and_bridges(q)
-        mins, maxs = set(q._mins), set(q._maxs)
-        return (tuple(tuple(sorted(b, key=q.pair_key)) for b in blocks if len(b) > 1),
-                dict.fromkeys(e for e in q.covers
-                              if e in bridges and e[0] in mins and e[1] in maxs))
-    return p.memo("blocks_and_bridges", compute)
 
 
 def extreme_pairs(p):

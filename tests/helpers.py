@@ -15,8 +15,7 @@ from lietp import algebra, poset, tpstruct
 from lietp.errors import LietpError
 from lietp.halfder import (CentralElement, KappaMap, LinearOperator, SigmaMap,
                            central_valued, inner, phi_sigma)
-from lietp.poset import (blocks_and_bridges, build_poset, enumerate_cycles,
-                         pair_classes)
+from lietp.poset import build_poset, enumerate_cycles, pair_classes
 
 
 def chain(n):
@@ -360,6 +359,7 @@ def _chain_rule_classes(p, edge_groups):
     cover edges of each group joined; classes in canonical order."""
     pairs = p.strict_pairs
     parent = {pr: pr for pr in pairs}
+    comparable = set(p.pairs) | {(y, x) for x, y in p.pairs}
 
     def find(a):
         while parent[a] != a:
@@ -372,11 +372,13 @@ def _chain_rule_classes(p, edge_groups):
         if ra != rb:
             parent[ra] = rb
 
-    for i, pq in enumerate(pairs):
-        for uv in pairs[i + 1:]:
-            labels = set(pq) | set(uv)
-            if all(p.leq(a, b) or p.leq(b, a) for a in labels for b in labels):
-                union(pq, uv)
+    # (a, b) and (c, d) with a < b and c < d form a chain iff each of a, b
+    # is comparable to each of c, d
+    for i, (a, b) in enumerate(pairs):
+        for c, d in pairs[i + 1:]:
+            if ((a, c) in comparable and (a, d) in comparable
+                    and (b, c) in comparable and (b, d) in comparable):
+                union((a, b), (c, d))
     for edges in edge_groups:
         for e in edges[1:]:
             union(edges[0], e)
@@ -397,11 +399,54 @@ def brute_pair_classes(p):
     return _chain_rule_classes(p, groups)
 
 
+def reference_blocks(p):
+    """Biconnected blocks of the cover graph, each a canonically sorted
+    list of cover pairs, ordered by their first edge.
+
+    Two cover edges share a block iff no vertex separates them: for every
+    vertex v, the ends of both other than v lie in one component of the
+    cover graph with v removed.  One breadth-first search per vertex,
+    O(n·(n + E)).
+    """
+    signature = {e: [] for e in p.covers}
+    for v in p.elements:
+        comp = {}
+        for s in p.elements:
+            if s != v and s not in comp:
+                comp[s] = s
+                queue = deque([s])
+                while queue:
+                    for w in p.adjacency[queue.popleft()]:
+                        if w != v and w not in comp:
+                            comp[w] = s
+                            queue.append(w)
+        for e in p.covers:
+            signature[e].append(comp[e[1] if e[0] == v else e[0]])
+    blocks = {}
+    for e in p.covers:
+        blocks.setdefault(tuple(signature[e]), []).append(e)
+    return sorted(blocks.values(), key=lambda b: p.pair_key(b[0]))
+
+
 def reference_pair_classes(p):
     """Pair classes by the pairwise same-chain rule plus the cover edges of
-    each biconnected block."""
-    blocks, _bridges = blocks_and_bridges(p)
-    return _chain_rule_classes(p, [sorted(b, key=p.pair_key) for b in blocks])
+    each biconnected block (reference_blocks)."""
+    return _chain_rule_classes(p, reference_blocks(p))
+
+
+def component_without_edge(p, start, edge):
+    """Vertices reachable from start in the cover graph with the cover edge
+    `edge` removed, by breadth-first search."""
+    removed = set(edge)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in p.adjacency[v]:
+            if {v, w} != removed and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
 
 
 def reference_closure(pairs, elements):

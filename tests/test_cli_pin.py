@@ -18,7 +18,12 @@ vector, with the exit code and the exact stdout of each `lietp decompose`.
 It was recorded from the code as it stood before the half-derivation check
 was replaced by the verifier's sparse kernel.
 
-Regenerate both files (run this module as a script with `src` on the path)
+`cli_analyze_pinned.json` holds, for every `data/` poset, the exit code and
+the exact stdout of `lietp analyze` at every base point and of `lietp
+halfder` with and without `--oracle`.  It was recorded from the code as it
+stood before the poset layer was rewritten on element indices.
+
+Regenerate the files (run this module as a script with `src` on the path)
 only for an intended change of output.
 """
 
@@ -32,6 +37,7 @@ from lietp import cli
 
 PIN = pathlib.Path(__file__).with_name("cli_tp_pinned.json")
 DECOMPOSE_PIN = pathlib.Path(__file__).with_name("cli_decompose_pinned.json")
+ANALYZE_PIN = pathlib.Path(__file__).with_name("cli_analyze_pinned.json")
 SEEDS = (1, 2, 3)
 DECOMPOSE_SEEDS = (1, 2)
 
@@ -78,6 +84,44 @@ def test_decompose_stdout_matches_pinned_bytes(data_dir, tmp_path):
             case["exit"], case["stdout"]), case["argv"]
 
 
+def _analyze_argvs(data_dir):
+    """Every `lietp analyze` (at each base point) and `lietp halfder`
+    (with and without the oracle) argv, by poset file name."""
+    from lietp import poset
+
+    argvs = []
+    for path in sorted(data_dir.glob("*.poset")):
+        p = poset.parse_poset(path.read_text())
+        argvs += [["analyze", path.name, "--u0", u] for u in p.elements]
+        argvs += [["halfder", path.name], ["halfder", path.name, "--oracle"]]
+    return argvs
+
+
+def _run_analyze(argv, data_dir):
+    """(exit code, stdout) of one analyze or halfder argv."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main([argv[0], str(data_dir / argv[1])] + argv[2:])
+    return rc, buf.getvalue()
+
+
+def test_analyze_and_halfder_stdout_match_pinned_bytes(data_dir):
+    cases = json.loads(ANALYZE_PIN.read_text())["cases"]
+    assert [c["argv"] for c in cases] == _analyze_argvs(data_dir)
+    for case in cases:
+        assert _run_analyze(case["argv"], data_dir) == (
+            case["exit"], case["stdout"]), case["argv"]
+
+
+def _generate_analyze(data_dir, tmp):
+    """(inputs, cases) for the analyze pin: no inputs beyond data/."""
+    cases = []
+    for argv in _analyze_argvs(data_dir):
+        rc, out = _run_analyze(argv, data_dir)
+        cases.append({"argv": argv, "exit": rc, "stdout": out})
+    return {}, cases
+
+
 def _generate(data_dir, tmp):
     """(inputs, cases) for the pin, each case run once against this tree."""
     from lietp import poset, tpstruct
@@ -97,8 +141,9 @@ def _generate(data_dir, tmp):
         p = poset.parse_poset(path.read_text())
         stem, last = path.stem, p.elements[-1]
         for seed in SEEDS:
-            comps = cli._decomposition_payload(tpstruct.TPDecomposition(
-                *tpstruct.random_tp_components(p, seed)))
+            comps = json.loads(cli._dumps(cli._decomposition_payload(
+                tpstruct.TPDecomposition(
+                    *tpstruct.random_tp_components(p, seed)))))
             built = record(path.name, "%s-s%d-components.json" % (stem, seed),
                            comps, [("build", []), ("normalize", []),
                                    ("normalize", ["--u0", last])])
@@ -164,7 +209,8 @@ if __name__ == "__main__":
     here = pathlib.Path(__file__).resolve().parent
     sys.path.insert(0, str(here))
     for pin, generate in ((PIN, _generate),
-                          (DECOMPOSE_PIN, _generate_decompose)):
+                          (DECOMPOSE_PIN, _generate_decompose),
+                          (ANALYZE_PIN, _generate_analyze)):
         with tempfile.TemporaryDirectory() as tmp:
             inputs, cases = generate(here.parent / "data", pathlib.Path(tmp))
         pin.write_text(json.dumps({"inputs": inputs, "cases": cases},

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (Walk, brute_extreme_pairs, brute_pair_classes, chain,
-                     data_catalog, full_catalog, random_connected_poset,
+                     component_without_edge, data_catalog, full_catalog,
+                     random_connected_poset, reference_blocks,
                      reference_closure, reference_pair_classes, walk_between)
-from lietp import poset, tpstruct
+from lietp import algebra, poset, tpstruct
 from lietp.errors import (CapExceeded, CycleInOrder, NotConnected, NotExtreme,
                           ParseError, RedundantCover, TooSmall,
                           UnknownElement)
@@ -108,10 +109,16 @@ def test_cycle_error_names_least_pair():
 
 
 def test_closure_is_reflexive_and_transitive():
-    leq = closure([("1", "2"), ("2", "3")], ["1", "2", "3"])
-    assert ("1", "1") in leq and ("3", "3") in leq
-    assert ("1", "3") in leq
-    assert ("3", "1") not in leq
+    # rows of indices, each ascending: 2 -> 0 -> 1 is the chain 2 < 0 < 1
+    assert closure([[1], [], [0]]) == [[0, 1], [1], [0, 1, 2]]
+    # on a cycle every index reaches every other
+    assert closure([[1], [2], [0], [0]]) == [[0, 1, 2]] * 3 + [[0, 1, 2, 3]]
+
+
+def test_build_poset_reads_covers_given_once():
+    covers = [("1", "2"), ("2", "3")]
+    p = build_poset(["1", "2", "3"], (c for c in covers))
+    assert p.covers == covers and p.pairs == chain(3).pairs
 
 
 def test_min_max(branch4, crown):
@@ -277,30 +284,55 @@ def _random_posets():
                 yield random_connected_poset(rng, n, dense)
 
 
+def _ladder_posets():
+    """The shapes of the benchmark's poset ladder: its largest chain, fence
+    and crown, and random posets of 24 to 60 elements."""
+    crown = ["a%d" % i for i in range(16)] + ["b%d" % i for i in range(16)]
+    yield chain(40)
+    yield _fence(128)
+    yield build_poset(crown, [(crown[i], crown[16 + (i + k) % 16])
+                              for i in range(16) for k in (0, 1)])
+    rng = random.Random(20261019)
+    for n in (24, 36, 48, 60):
+        for _ in range(2):
+            yield random_connected_poset(rng, n)
+
+
 def test_pair_classes_and_closure_match_references(data_dir):
-    posets = list(data_catalog(data_dir).values()) + list(_random_posets())
-    assert max(len(p.pairs) for p in posets) > 100
+    posets = (list(data_catalog(data_dir).values()) + list(_random_posets())
+              + list(_ladder_posets()))
+    assert max(len(p.pairs) for p in posets) > 800
     for p in posets:
         assert pair_classes(p).classes == reference_pair_classes(p)
-        covers = list(p.covers)
-        assert closure(covers, p.elements) == reference_closure(
-            covers, p.elements) == set(p.pairs)
+        blocks, bridges = blocks_and_bridges(p)
+        expected = reference_blocks(p)
+        assert [sorted(b, key=p.pair_key) for b in blocks] == expected
+        assert bridges == {b[0] for b in expected if len(b) == 1}
+        covers, el = list(p.covers), p.elements
+        succ = [[el.index(y) for (x, y) in covers if x == v] for v in el]
+        assert {(el[i], el[j]) for i, row in enumerate(closure(succ))
+                for j in row} == reference_closure(covers, el) == set(p.pairs)
 
 
 def test_combinatorics_computed_once_per_poset(monkeypatch, data_dir):
+    # counts the one block search, through every public entry point and
+    # `lietp analyze`'s sequence of calls
     calls = {}
-    original = poset.blocks_and_bridges
+    original = poset._block_search
 
     def counted(p):
         calls[id(p)] = calls.get(id(p), 0) + 1
         return original(p)
 
-    monkeypatch.setattr(poset, "blocks_and_bridges", counted)
+    monkeypatch.setattr(poset, "_block_search", counted)
     posets = list(data_catalog(data_dir).values()) + [chain(6)]
     for p in posets:
         prod = tpstruct.random_tp(p, 3)
         for _ in range(2):
             pair_classes(p)
+            blocks_and_bridges(p)
+            enumerate_cycles(p)
+            algebra.minmax_pairs(p)
             pairs = extreme_pairs(p)
             for u0 in p.elements:
                 for pr in pairs:
@@ -321,10 +353,9 @@ def _fence(n):
 
 def _reference_sign_and_vset(p, u0, pair):
     """Two breadth-first searches with the bridge removed."""
-    x, y = pair
-    side_x = poset._component_of(p, x, {x, y})
+    side_x = component_without_edge(p, pair[0], pair)
     if u0 in side_x:
-        return 1, frozenset(poset._component_of(p, y, {x, y}))
+        return 1, frozenset(component_without_edge(p, pair[1], pair))
     return -1, frozenset(side_x)
 
 
