@@ -372,56 +372,91 @@ def _normalize_int_row(row):
 
 
 def _eliminate(pivots, row):
-    """Reduce an integer row against the pivot rows; install it if nonzero."""
+    """Reduce an integer row against the pivot rows; install it if nonzero.
+    Returns True iff it installed a pivot."""
     while row:
         c = min(row)
         prow = pivots.get(c)
         if prow is None:
             pivots[c] = _normalize_int_row(row)
-            return
+            return True
         a, b = row[c], prow[c]
         row = algebra.add_scaled({k: b * v for k, v in row.items()}, prow, -a)
+    return False
 
 
 def half_derivation_space(p, cap=DEFAULT_ORACLE_CAP):
     """Basis of all half-derivations, by brute-force exact nullspace.
 
-    Unknowns are all matrix entries of a candidate operator; one linear
-    equation per unordered basis pair per component, built from the nonzero
-    brackets of unit_brackets only. Fraction-free elimination with
-    deterministic smallest-index pivoting.
+    Unknowns are all matrix entries of a candidate operator, u = k * B + m
+    for the entry phi(b_k)_m; one linear equation per unordered basis pair
+    per component, built from the nonzero brackets of unit_brackets only.
+    Fraction-free elimination with deterministic smallest-index pivoting.
+
+    The system is solved one weight block at a time.  I(X) is graded by
+    Z^X, with deg e_xy = eps_x - eps_y, and the bracket is homogeneous, so
+    the unknown u has the weight deg b_m - deg b_k, and the equation of
+    (b_i, b_j) at the component b_m has the single weight deg b_m - deg b_i
+    - deg b_j.  A row is reduced only by the pivot row at its least unknown,
+    of its own weight, so each block gets the pivots that eliminating the
+    whole system in the same row order gives.  Once a block has as many
+    pivots as unknowns, every later row of its weight reduces to zero, so
+    its terms are dropped before the row is built.  Back-substitution of a
+    free unknown never leaves its block, since a pivot row of another
+    weight holds none of the unknowns set so far.  So the pivots, the basis
+    and its order are those of the whole system.  The cap counts all B**2
+    unknowns.  The weights are kept as integers: eps_x is 8**index(x), and
+    a weight's coefficients lie in [-2, 2], so distinct weights stay
+    distinct.
     """
     B = len(p.pairs)
     if B * B > cap:
         raise TooLarge("system has %d unknowns, cap is %d" % (B * B, cap))
     by_left, _ = p.memo("unit_brackets", unit_brackets)
-    pivots = {}
+    deg = [8 ** p.index(x) - 8 ** p.index(y) for x, y in p.pairs]
+    weights = {}
+    block = [weights.setdefault(dm - dk, len(weights))
+             for dk in deg for dm in deg]
+    room = [0] * len(weights)     # unknowns minus pivots, per block
+    for w in block:
+        room[w] += 1
+    pivots = [{} for _ in weights]
     for i in range(B):
         for j in range(i + 1, B):
             rows = {}
             for r, k, s in by_left[i]:
                 if r == j:      # 2 phi[b_i, b_j] = 2s phi(b_k), every component
                     for m in range(B):
-                        row = rows.setdefault(m, {})
                         u = k * B + m
-                        row[u] = row.get(u, 0) + 2 * s
-                row = rows.setdefault(k, {})    # [b_i, phi b_j] at phi(b_j)_r
-                u = j * B + r
-                row[u] = row.get(u, 0) - s
+                        if room[block[u]]:
+                            row = rows.setdefault(m, {})
+                            row[u] = row.get(u, 0) + 2 * s
+                u = j * B + r   # [b_i, phi b_j] at phi(b_j)_r
+                if room[block[u]]:
+                    row = rows.setdefault(k, {})
+                    row[u] = row.get(u, 0) - s
             for r, k, s in by_left[j]:  # [phi b_i, b_j] at phi(b_i)_r
-                row = rows.setdefault(k, {})
                 u = i * B + r
-                row[u] = row.get(u, 0) + s
+                if room[block[u]]:
+                    row = rows.setdefault(k, {})
+                    row[u] = row.get(u, 0) + s
             for k in sorted(rows):
                 row = {u: v for u, v in rows[k].items() if v}
                 if row:
-                    _eliminate(pivots, row)
-    free = [u for u in range(B * B) if u not in pivots]
-    ops = []
-    for f in free:
+                    w = block[next(iter(row))]
+                    if room[w] and _eliminate(pivots[w], row):
+                        room[w] -= 1
+    ops, order = [], {}
+    for f in range(B * B):
+        w = block[f]
+        piv = pivots[w]
+        if f in piv:
+            continue
+        if w not in order:
+            order[w] = sorted(piv, reverse=True)
         vec = {f: Fraction(1)}
-        for c in sorted(pivots, reverse=True):
-            row = pivots[c]
+        for c in order[w]:
+            row = piv[c]
             s = Fraction(0)
             for k, v in row.items():
                 if k != c and k in vec:

@@ -281,8 +281,9 @@ def sum_products(a, b):
     return _build(a.owner, entries)
 
 
-def _first_assoc_failure(rows):
-    """Least (a, b, c) with (b_a b_b) b_c != b_a (b_b b_c), or None.
+def _first_assoc_failure(table, rows):
+    """Least (a, b, c) with (b_a b_b) b_c != b_a (b_b b_c), or None, for a
+    table {(i, j): {r: int}}, i <= j, and its rows (see _rows).
 
     Both sides vanish unless b_a . b_b or b_b . b_c is in the table, so for
     each a the difference is accumulated per (b, c) from the nonzero terms
@@ -292,21 +293,28 @@ def _first_assoc_failure(rows):
     integer operation.  Every output coefficient of the difference is at most
     2 * norm**2 in absolute value, below 2**(width - 1), so a packed
     difference is zero exactly when each of its slots is.
+
+    The set-up reads the norm bound, which fixes the width, and then makes
+    one pass over the table's products: it numbers the output slots in
+    order of first sight, packs each product once, files it under both
+    orders, and lists the holders (b, c, coefficient) of each output.  The
+    zero test reads every slot on its own, so the order of the slots does
+    not matter.
     """
-    outs = sorted({r for row in rows.values() for vec in row.values()
-                   for r in vec})
-    slot = {r: n for n, r in enumerate(outs)}
-    norm = max((sum(map(abs, vec.values())) for row in rows.values()
-                for vec in row.values()), default=0)
+    norm = max((sum(map(abs, vec.values())) for vec in table.values()),
+               default=0)
     width = (2 * norm * norm).bit_length() + 1
-    packed = {i: {j: sum(v << (width * slot[r]) for r, v in vec.items())
-                  for j, vec in row.items()}
-              for i, row in rows.items()}
-    holders = {}
-    for b, row in rows.items():
-        for c, vec in row.items():
-            for s, u in vec.items():
-                holders.setdefault(s, []).append((b, c, u))
+    slot, packed, holders = {}, {}, {}
+    for (b, c), vec in table.items():
+        bc = 0
+        for s, u in vec.items():
+            bc += u << (width * slot.setdefault(s, len(slot)))
+            held = holders.setdefault(s, [])
+            held.append((b, c, u))
+            if b != c:
+                held.append((c, b, u))
+        packed.setdefault(b, {})[c] = bc
+        packed.setdefault(c, {})[b] = bc
     for a in sorted(rows):
         diff = {}
         for b, ab in rows[a].items():
@@ -324,22 +332,29 @@ def _first_assoc_failure(rows):
     return None
 
 
+def _rows(table):
+    """The products of a table {(i, j): vec}, i <= j, as rows: rows[i][j]
+    is the product b_i . b_j, stored under both orders."""
+    rows = {}
+    for (i, j), vec in table.items():
+        rows.setdefault(i, {})[j] = vec
+        rows.setdefault(j, {})[i] = vec
+    return rows
+
+
 def _sweep(p, table):
     """The axiom report from the sweeps of every triple over the table
-    cleared of denominators, as rows: rows[i][j] is {r: int} for b_i . b_j,
-    stored under both orders.  The transposed Leibniz rule says that every
-    left multiplication, rows[z] as an operator, is a half-derivation.
+    cleared of denominators and its rows (see _rows).  The transposed
+    Leibniz rule says that every left multiplication, rows[z] as an
+    operator, is a half-derivation.
 
     Scaling every product by one positive constant keeps both axioms'
     verdicts and witnesses: associativity is homogeneous of degree 2 in the
     table and the transposed Leibniz rule of degree 1.
     """
-    rows = {}
-    for (i, j), vec in table.items():
-        rows.setdefault(i, {})[j] = vec
-        rows.setdefault(j, {})[i] = vec
+    rows = _rows(table)
     report = {"associative": True, "transposed_leibniz": True, "witness": None}
-    for check, triple in (("associative", _first_assoc_failure(rows)),
+    for check, triple in (("associative", _first_assoc_failure(table, rows)),
                           ("transposed_leibniz",
                            halfder._first_halfder_failure(p, rows))):
         if triple is not None:

@@ -12,15 +12,24 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from lietp import algebra, poset, tpstruct
-from lietp.errors import LietpError
+from lietp.errors import LietpError, TooLarge
 from lietp.halfder import (CentralElement, KappaMap, LinearOperator, SigmaMap,
-                           central_valued, inner, phi_sigma)
+                           _eliminate, central_valued, inner, phi_sigma,
+                           unit_brackets)
 from lietp.poset import build_poset, enumerate_cycles, pair_classes
 
 
 def chain(n):
     labels = [str(i) for i in range(1, n + 1)]
     return build_poset(labels, list(zip(labels, labels[1:])))
+
+
+def crown(k):
+    """The crown on 2k elements: a_i below b_i and b_(i+1 mod k)."""
+    lows = ["a%d" % i for i in range(k)]
+    highs = ["b%d" % i for i in range(k)]
+    covers = [(lows[i], highs[(i + d) % k]) for i in range(k) for d in (0, 1)]
+    return build_poset(lows + highs, covers)
 
 
 # --- iso-class catalog of connected posets ---------------------------------
@@ -628,3 +637,89 @@ def reference_poisson_type(mu):
                 entries[((x, x), (y, y))] = algebra.element(
                     p, {d: v for d in diagonal})
     return tpstruct.tp_from_table(p, entries)
+
+
+# --- the exact kernels as they were before their set-up was trimmed ----------
+
+def reference_assoc_failure(rows):
+    """tpstruct._first_assoc_failure as it stood before it packed each
+    product once: the same sweep, set up from the rows, both orders of every
+    product, with the output slots in sorted order."""
+    outs = sorted({r for row in rows.values() for vec in row.values()
+                   for r in vec})
+    slot = {r: n for n, r in enumerate(outs)}
+    norm = max((sum(map(abs, vec.values())) for row in rows.values()
+                for vec in row.values()), default=0)
+    width = (2 * norm * norm).bit_length() + 1
+    packed = {i: {j: sum(v << (width * slot[r]) for r, v in vec.items())
+                  for j, vec in row.items()}
+              for i, row in rows.items()}
+    holders = {}
+    for b, row in rows.items():
+        for c, vec in row.items():
+            for s, u in vec.items():
+                holders.setdefault(s, []).append((b, c, u))
+    for a in sorted(rows):
+        diff = {}
+        for b, ab in rows[a].items():
+            for r, u in ab.items():
+                for c, rc in packed.get(r, {}).items():
+                    key = (b, c)
+                    diff[key] = diff.get(key, 0) + u * rc
+        for s, as_ in packed[a].items():
+            for b, c, u in holders.get(s, ()):
+                key = (b, c)
+                diff[key] = diff.get(key, 0) - u * as_
+        bad = [key for key, v in diff.items() if v]
+        if bad:
+            return (a,) + min(bad)
+    return None
+
+
+def reference_half_derivation_space(p, cap=5000):
+    """halfder.half_derivation_space as it stood before it split by weight:
+    every equation row reduced against one pivot set, every free unknown
+    back-substituted against all pivots."""
+    B = len(p.pairs)
+    if B * B > cap:
+        raise TooLarge("system has %d unknowns, cap is %d" % (B * B, cap))
+    by_left, _ = p.memo("unit_brackets", unit_brackets)
+    pivots = {}
+    for i in range(B):
+        for j in range(i + 1, B):
+            rows = {}
+            for r, k, s in by_left[i]:
+                if r == j:
+                    for m in range(B):
+                        row = rows.setdefault(m, {})
+                        u = k * B + m
+                        row[u] = row.get(u, 0) + 2 * s
+                row = rows.setdefault(k, {})
+                u = j * B + r
+                row[u] = row.get(u, 0) - s
+            for r, k, s in by_left[j]:
+                row = rows.setdefault(k, {})
+                u = i * B + r
+                row[u] = row.get(u, 0) + s
+            for k in sorted(rows):
+                row = {u: v for u, v in rows[k].items() if v}
+                if row:
+                    _eliminate(pivots, row)
+    free = [u for u in range(B * B) if u not in pivots]
+    ops = []
+    for f in free:
+        vec = {f: Fraction(1)}
+        for c in sorted(pivots, reverse=True):
+            row = pivots[c]
+            s = Fraction(0)
+            for k, v in row.items():
+                if k != c and k in vec:
+                    s += v * vec[k]
+            if s:
+                vec[c] = -s / row[c]
+        cols = [{} for _ in range(B)]
+        for u, v in vec.items():
+            if v:
+                cols[u // B][u % B] = v
+        ops.append(LinearOperator(p, cols))
+    return ops

@@ -12,7 +12,7 @@ import sys
 import time
 from fractions import Fraction
 
-from helpers import (brute_extreme_pairs, brute_pair_classes, chain,
+from helpers import (brute_extreme_pairs, brute_pair_classes, chain, crown,
                      full_catalog, operator_document, poset_text,
                      random_admissible_sigma, random_connected_poset,
                      random_half_derivation, random_walk, same_components,
@@ -79,10 +79,17 @@ def test_criterion_3_dimension_law_against_oracle():
     for i in range(200):
         rng = random.Random(1000 + i)
         posets.append(random_connected_poset(rng, 6 + i % 2))
+    posets += [chain(n) for n in range(2, 17)]
+    posets += [crown(k) for k in range(2, 6)]
+    for i in range(9):
+        rng = random.Random(3000 + i)
+        posets.append(random_connected_poset(rng, 8 + i % 3,
+                                             dense=i % 2 == 1))
     for p in posets:
         predicted = (len(p.elements) + len(pair_classes(p))
                      + len(algebra.minmax_pairs(p)))
-        assert len(half_derivation_space(p)) == predicted
+        basis = half_derivation_space(p, cap=len(p.pairs) ** 2)
+        assert len(basis) == predicted
     assert time.perf_counter() - start < 120.0
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lietp import algebra, cli, poset
+from lietp import algebra, cli, examples, poset
 from lietp.errors import GoldenMismatch, ParseError
 
 
@@ -443,20 +443,20 @@ def test_examples_pass(capsys):
 
 
 def test_examples_catch_table_corruption():
-    golden = copy.deepcopy(cli.GOLDEN_EXAMPLES)
+    golden = copy.deepcopy(examples.GOLDEN_EXAMPLES)
     # flip one coefficient in a frozen mutational table
     left, right, cells = golden[0]["mutational"][0]
     golden[0]["mutational"] = ((left, right, (("1", "2", 99),)),) + tuple(
         golden[0]["mutational"][1:])
     with pytest.raises(GoldenMismatch):
-        cli._run_examples(golden)
+        examples._run_examples(golden)
 
 
 def test_examples_catch_extreme_pair_corruption():
-    golden = copy.deepcopy(cli.GOLDEN_EXAMPLES)
+    golden = copy.deepcopy(examples.GOLDEN_EXAMPLES)
     golden[1]["extreme"] = (("1", "5"),)
     with pytest.raises(GoldenMismatch):
-        cli._run_examples(golden)
+        examples._run_examples(golden)
 
 
 def test_reports_are_hash_seed_independent(data_dir, tmp_path):

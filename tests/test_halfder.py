@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (Walk, apply, chain, corrupted, full_catalog,
+from helpers import (Walk, apply, chain, corrupted, crown, full_catalog,
                      identity_operator, plus_one, random_admissible_sigma,
                      random_central, random_connected_poset, random_fraction,
                      random_half_derivation, random_kappa,
+                     reference_half_derivation_space,
                      reference_is_half_derivation, walk_between,
                      walk_diag_value, walk_functionals)
 from lietp import tpstruct
@@ -291,6 +292,20 @@ def test_oracle_basis_decomposes_and_rebuilds(vee, crown):
             assert is_half_derivation(op)[0]
             dec = decompose(op, p.elements[0])
             assert dec.reconstruct() == op
+
+
+def test_oracle_matches_reference_solver():
+    # the weight blocks give the basis of the whole system, in its order
+    rng = random.Random(31)
+    posets = (list(CATALOG) + [chain(n) for n in range(2, 12)]
+              + [crown(k) for k in range(2, 6)]
+              + [random_connected_poset(rng, rng.randint(5, 8),
+                                        dense=rng.random() < 0.5)
+                 for _ in range(12)])
+    for p in posets:
+        cap = len(p.pairs) ** 2
+        assert (half_derivation_space(p, cap=cap)
+                == reference_half_derivation_space(p, cap=cap)), p.covers
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from helpers import (MU_KINDS, BruteForce, chain, corrupted, data_catalog,
                      full_catalog, random_central, random_connected_poset,
-                     random_fraction, random_raw_mu, reference_mu_condition,
-                     reference_orthogonal, reference_poisson_type,
-                     reference_verify, same_components)
+                     random_fraction, random_raw_mu, reference_assoc_failure,
+                     reference_mu_condition, reference_orthogonal,
+                     reference_poisson_type, reference_verify,
+                     same_components)
 from lietp import algebra, tpstruct
 from lietp.algebra import (commutator, diag_unit, element, identity,
                            minmax_pairs, unit)
@@ -466,11 +467,10 @@ def _check_certificate(prod, reference):
     return accepted
 
 
-def test_certificate_never_accepts_a_rejected_table():
-    # the reference is the sweep, and on the catalog also the brute-force
-    # verifier wherever the certificate accepts; the random_tp draws there
-    # are test_verify_matches_brute_force_on_catalog's, which checks them
-    counts = {"tables": 0, "tp": 0, "accepted": 0}
+def _certificate_corpus():
+    """(poset, whether it is a catalog poset, draw number, product) for
+    every table of the certificate's soundness test: _soundness_tables on
+    the catalog and on 20 random posets of 6 to 8 elements."""
     rng = random.Random(12)
     posets = [(p, True) for p in CATALOG] + [
         (random_connected_poset(rng, rng.randint(6, 8),
@@ -478,18 +478,126 @@ def test_certificate_never_accepts_a_rejected_table():
         for _ in range(20)]
     for k, (p, brute) in enumerate(posets):
         for t, prod in enumerate(_soundness_tables(p, rng, k)):
-            reference = tpstruct._sweep(p, _cleared(prod))
-            accepted = _check_certificate(prod, reference)
-            if brute and accepted and t > 0:
-                assert reference_verify(prod) == reference
-            # every family draw is certified where it was built
-            assert t > 0 or p.elements[0] in accepted
-            counts["tables"] += 1
-            counts["tp"] += tp_passes(reference)
-            counts["accepted"] += bool(accepted)
+            yield p, brute, t, prod
+
+
+def test_certificate_never_accepts_a_rejected_table():
+    # the reference is the sweep, and on the catalog also the brute-force
+    # verifier wherever the certificate accepts; the random_tp draws there
+    # are test_verify_matches_brute_force_on_catalog's, which checks them
+    counts = {"tables": 0, "tp": 0, "accepted": 0}
+    for p, brute, t, prod in _certificate_corpus():
+        reference = tpstruct._sweep(p, _cleared(prod))
+        accepted = _check_certificate(prod, reference)
+        if brute and accepted and t > 0:
+            assert reference_verify(prod) == reference
+        # every family draw is certified where it was built
+        assert t > 0 or p.elements[0] in accepted
+        counts["tables"] += 1
+        counts["tp"] += tp_passes(reference)
+        counts["accepted"] += bool(accepted)
     # so are most of the other transposed Poisson tables, at some base point
     assert counts["tp"] > counts["accepted"] > counts["tp"] * 0.9
     assert counts["tables"] > 2 * counts["tp"]
+
+
+# --- the associativity kernel against its reference --------------------------
+
+def _certificate_reads(p):
+    """(key, output) of every coefficient the certificate reads off a table:
+    mu at the first element's diagonal, nu on minimal-maximal pairs and
+    lambda on extreme pairs."""
+    pidx = p.pair_index
+    d = {x: pidx[(x, x)] for x in p.elements}
+    du = d[p.elements[0]]
+    reads = [(tpstruct._table_key(d[x], d[y]), du)
+             for x in p.elements for y in p.elements]
+    reads += [(tpstruct._table_key(d[x], d[y]), pidx[(x, y)])
+              for x, y in minmax_pairs(p)]
+    reads += [(tpstruct._table_key(d[x], pidx[(x, y)]), pidx[(x, y)])
+              for x, y in extreme_pairs(p)]
+    return reads
+
+
+def _changed(p, table, rng, step=1):
+    """Copy of a cleared table with 1 to 6 random changes, each adding
+    +-step or +-2 step to one coefficient: of a product in the table, of a
+    product at a new key, or one the certificate reads."""
+    B = len(p.pairs)
+    reads = _certificate_reads(p)
+    out = {key: dict(vec) for key, vec in table.items()}
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.randrange(3)
+        if kind == 0 and out:
+            key, r = rng.choice(sorted(out)), rng.randrange(B)
+        elif kind == 1:
+            key = tpstruct._table_key(rng.randrange(B), rng.randrange(B))
+            r = rng.randrange(B)
+        else:
+            key, r = rng.choice(reads)
+        vec = out.setdefault(key, {})
+        vec[r] = vec.get(r, 0) + rng.choice((-2, -1, 1, 2)) * step
+        if not vec[r]:
+            del vec[r]
+        if not vec:
+            del out[key]
+    return out
+
+
+def _outcomes(prods):
+    """verify_tp's report and decompose_tp's values, or the report it
+    raises, at the last element, per product."""
+    out = []
+    for prod in prods:
+        try:
+            dec = decompose_tp(prod, prod.owner.elements[-1])
+            got = (dec.mu.values, dec.nu.values, dec.lam.values)
+        except NotTransposedPoisson as exc:
+            got = exc.report
+        out.append((verify_tp(prod), got))
+    return out
+
+
+def _assoc_failure_as_reference(table):
+    rows = tpstruct._rows(table)
+    got = tpstruct._first_assoc_failure(table, rows)
+    assert got == reference_assoc_failure(rows), table
+    return got
+
+
+def test_assoc_kernel_matches_reference(monkeypatch):
+    # the soundness test's tables, changed copies of them, and copies
+    # scaled past 2**64, some then changed by a small or a wide step, so
+    # that slots of very different size sit side by side
+    rng = random.Random(29)
+    changed, wide, found = [], 0, set()
+    for n, (p, _brute, _t, prod) in enumerate(_certificate_corpus()):
+        table = _cleared(prod)
+        tables = [table, _changed(p, table, rng)]
+        if n % 4 == 0:
+            scale = rng.randrange(2 ** 64, 2 ** 66)
+            big = {key: {r: v * scale for r, v in vec.items()}
+                   for key, vec in table.items()}
+            tables += [big, _changed(p, big, rng),
+                       _changed(p, big, rng, step=scale)]
+            wide += any(abs(v) >> 64 for vec in big.values()
+                        for v in vec.values())
+        found.update(_assoc_failure_as_reference(t) is None for t in tables)
+        if n % 2 == 0:
+            changed.append(tpstruct._build(p, tables[1]))
+    assert wide > 100 and found == {True, False}
+    # with b_0 b_0 = a b_0 and b_0 b_2 = g b_0 + d b_2, the difference at
+    # (b_0, b_0, b_2) is -d g b_0 + d (a - d) b_2: slot values -2**k and 1,
+    # and then, with b_2 seen first, 2**(2k) and -2**k, which a packing
+    # k bits wide would take for zero
+    for k in range(1, 200):
+        for table in ({(0, 0): {0: 2}, (0, 2): {0: 2 ** k, 2: 1}},
+                      {(0, 2): {2: 2 ** k, 0: 1}, (0, 0): {0: 2 ** (k + 1)}}):
+            assert _assoc_failure_as_reference(table) == (0, 0, 2)
+    new = _outcomes(changed)
+    monkeypatch.setattr(tpstruct, "_first_assoc_failure",
+                        lambda table, rows: reference_assoc_failure(rows))
+    assert new == _outcomes(changed)
 
 
 def test_certificate_rejects_out_of_shape_tables(vee):
