@@ -372,8 +372,9 @@ def _normalize_int_row(row):
 
 
 def _eliminate(pivots, row):
-    """Reduce an integer row against the pivot rows; install it if nonzero.
-    Returns True iff it installed a pivot."""
+    """Reduce an integer row against the pivot rows, in place, by row = b
+    row - a prow at its least unknown c (a = row[c], b = prow[c] > 0);
+    install it if nonzero.  Returns True iff it installed a pivot."""
     while row:
         c = min(row)
         prow = pivots.get(c)
@@ -381,74 +382,73 @@ def _eliminate(pivots, row):
             pivots[c] = _normalize_int_row(row)
             return True
         a, b = row[c], prow[c]
-        row = algebra.add_scaled({k: b * v for k, v in row.items()}, prow, -a)
+        if b != 1:
+            for k, v in row.items():
+                row[k] = b * v
+        algebra.add_scaled(row, prow, -a)
     return False
 
 
-def half_derivation_space(p, cap=DEFAULT_ORACLE_CAP):
-    """Basis of all half-derivations, by brute-force exact nullspace.
+def _solve(p, operators, weight):
+    """Basis of the common solutions of the half-derivation equations of
+    the given operators, as {unknown: nonzero Fraction} vectors, one per
+    free unknown, in the order of the free unknowns.
 
-    Unknowns are all matrix entries of a candidate operator, u = k * B + m
-    for the entry phi(b_k)_m; one linear equation per unordered basis pair
-    per component, built from the nonzero brackets of unit_brackets only.
-    Fraction-free elimination with deterministic smallest-index pivoting.
+    The entry phi(b_k)_m of operator t is the unknown operators[t][k][m],
+    and weight[u] is the weight of unknown u.  One linear equation per
+    operator, unordered basis pair and component, built from the nonzero
+    brackets of unit_brackets only, in that order.  Fraction-free
+    elimination with deterministic smallest-index pivoting.
 
     The system is solved one weight block at a time.  I(X) is graded by
     Z^X, with deg e_xy = eps_x - eps_y, and the bracket is homogeneous, so
-    the unknown u has the weight deg b_m - deg b_k, and the equation of
-    (b_i, b_j) at the component b_m has the single weight deg b_m - deg b_i
-    - deg b_j.  A row is reduced only by the pivot row at its least unknown,
-    of its own weight, so each block gets the pivots that eliminating the
-    whole system in the same row order gives.  Once a block has as many
-    pivots as unknowns, every later row of its weight reduces to zero, so
-    its terms are dropped before the row is built.  Back-substitution of a
-    free unknown never leaves its block, since a pivot row of another
-    weight holds none of the unknowns set so far.  So the pivots, the basis
-    and its order are those of the whole system.  The cap counts all B**2
-    unknowns.  The weights are kept as integers: eps_x is 8**index(x), and
-    a weight's coefficients lie in [-2, 2], so distinct weights stay
-    distinct.
+    the equation of (b_i, b_j) at the component b_m holds only entries
+    phi(b_k)_r with deg b_r - deg b_k = deg b_m - deg b_i - deg b_j, and
+    the weights give those unknowns one weight.  A row is reduced only by
+    the pivot row at its least unknown, of its own weight, so each block
+    gets the pivots that eliminating the whole system in the same row
+    order gives.  Once a block has as many pivots as unknowns, every later
+    row of its weight reduces to zero, so its terms are dropped before the
+    row is built.  Back-substitution of a free unknown never leaves its
+    block, since a pivot row of another weight holds none of the unknowns
+    set so far.  So the pivots, the basis and its order are those of the
+    whole system.
     """
     B = len(p.pairs)
-    if B * B > cap:
-        raise TooLarge("system has %d unknowns, cap is %d" % (B * B, cap))
     by_left, _ = p.memo("unit_brackets", unit_brackets)
-    deg = [8 ** p.index(x) - 8 ** p.index(y) for x, y in p.pairs]
     weights = {}
-    block = [weights.setdefault(dm - dk, len(weights))
-             for dk in deg for dm in deg]
+    block = [weights.setdefault(w, len(weights)) for w in weight]
     room = [0] * len(weights)     # unknowns minus pivots, per block
     for w in block:
         room[w] += 1
     pivots = [{} for _ in weights]
-    for i in range(B):
-        for j in range(i + 1, B):
-            rows = {}
-            for r, k, s in by_left[i]:
-                if r == j:      # 2 phi[b_i, b_j] = 2s phi(b_k), every component
-                    for m in range(B):
-                        u = k * B + m
-                        if room[block[u]]:
-                            row = rows.setdefault(m, {})
-                            row[u] = row.get(u, 0) + 2 * s
-                u = j * B + r   # [b_i, phi b_j] at phi(b_j)_r
-                if room[block[u]]:
-                    row = rows.setdefault(k, {})
-                    row[u] = row.get(u, 0) - s
-            for r, k, s in by_left[j]:  # [phi b_i, b_j] at phi(b_i)_r
-                u = i * B + r
-                if room[block[u]]:
-                    row = rows.setdefault(k, {})
-                    row[u] = row.get(u, 0) + s
-            for k in sorted(rows):
-                row = {u: v for u, v in rows[k].items() if v}
-                if row:
-                    w = block[next(iter(row))]
-                    if room[w] and _eliminate(pivots[w], row):
-                        room[w] -= 1
-    ops, order = [], {}
-    for f in range(B * B):
-        w = block[f]
+    for unknown in operators:
+        for i in range(B):
+            for j in range(i + 1, B):
+                rows = {}
+                for r, k, s in by_left[i]:
+                    if r == j:  # 2 phi[b_i, b_j] = 2s phi(b_k), each m
+                        for m, u in enumerate(unknown[k]):
+                            if room[block[u]]:
+                                row = rows.setdefault(m, {})
+                                row[u] = row.get(u, 0) + 2 * s
+                    u = unknown[j][r]   # [b_i, phi b_j] at phi(b_j)_r
+                    if room[block[u]]:
+                        row = rows.setdefault(k, {})
+                        row[u] = row.get(u, 0) - s
+                for r, k, s in by_left[j]:  # [phi b_i, b_j] at phi(b_i)_r
+                    u = unknown[i][r]
+                    if room[block[u]]:
+                        row = rows.setdefault(k, {})
+                        row[u] = row.get(u, 0) + s
+                for k in sorted(rows):
+                    row = {u: v for u, v in rows[k].items() if v}
+                    if row:
+                        w = block[next(iter(row))]
+                        if room[w] and _eliminate(pivots[w], row):
+                            room[w] -= 1
+    basis, order = [], {}
+    for f, w in enumerate(block):
         piv = pivots[w]
         if f in piv:
             continue
@@ -457,15 +457,31 @@ def half_derivation_space(p, cap=DEFAULT_ORACLE_CAP):
         vec = {f: Fraction(1)}
         for c in order[w]:
             row = piv[c]
-            s = Fraction(0)
-            for k, v in row.items():
-                if k != c and k in vec:
-                    s += v * vec[k]
+            s = sum(v * vec[k] for k, v in row.items() if k != c and k in vec)
             if s:
                 vec[c] = -s / row[c]
+        basis.append(vec)
+    return basis
+
+
+def half_derivation_space(p, cap=DEFAULT_ORACLE_CAP):
+    """Basis of all half-derivations, by brute-force exact nullspace.
+
+    Unknowns are all matrix entries of a candidate operator, u = k * B + m
+    for the entry phi(b_k)_m, of weight deg b_m - deg b_k; the system is
+    solved by _solve.  The cap counts all B**2 unknowns.  The weights are
+    kept as integers: eps_x is 8**index(x), and a weight's coefficients lie
+    in [-2, 2], so distinct weights stay distinct.
+    """
+    B = len(p.pairs)
+    if B * B > cap:
+        raise TooLarge("system has %d unknowns, cap is %d" % (B * B, cap))
+    deg = [8 ** p.index(x) - 8 ** p.index(y) for x, y in p.pairs]
+    ops = []
+    for vec in _solve(p, [[range(k * B, k * B + B) for k in range(B)]],
+                      [dm - dk for dk in deg for dm in deg]):
         cols = [{} for _ in range(B)]
         for u, v in vec.items():
-            if v:
-                cols[u // B][u % B] = v
+            cols[u // B][u % B] = v
         ops.append(LinearOperator(p, cols))
     return ops

@@ -125,25 +125,22 @@ class MuMap(algebra.RationalMap):
     """Symmetric rational function on X x X passing the Poisson-type condition
     mu(x,y) r(z) = mu(y,z) r(x) for all x, y, z, where r(x) = sum_v mu(x,v).
 
-    The condition holds exactly when r is identically 0 or every column of
-    mu is a multiple of r.  If r(x0) != 0, the condition at z = x0 reads
-    mu(x,y) = c_y r(x) with c_y = mu(y,x0) / r(x0); conversely, given that,
-    symmetry gives mu(y,z) r(x) = c_y r(z) r(x) = mu(x,y) r(z).  So checking
-    z = x0 alone, for the first x0 with r(x0) != 0, decides it, in
-    O(n + |mu|) (see _mu_condition_holds).
+    That is _associative with lambda = 0, run on the values cleared of
+    denominators: it holds exactly when r is identically 0 or every column
+    of mu is a multiple of r.
 
-    check=False skips the condition; decompose_tp needs that because the
-    mu part read off at a base point other than the one the product was
-    built from picks up zero-row-sum corrections, and those can push a
-    valid mu out of the two standalone families while the total product
-    stays transposed Poisson.
+    check=False skips the condition.  decompose_tp needs that: the mu it
+    reads off next to a nonzero lambda passes the joint condition with
+    that lambda (see verify_tp), not always the standalone one (see
+    test_rebasing_shifts_mu_by_zero_row_sums).
     """
 
     clash = "mu given asymmetric values at (%r, %r)"
 
     def __init__(self, owner, values, check=True):
         super().__init__(owner, values)
-        if check and not _mu_condition_holds(owner, self.values):
+        if check and not _associative(
+                owner, algebra.cleared({0: self.values})[0], {}, None):
             raise MuNotAssociative("mu fails the Poisson-type condition")
 
     def _key(self, pair):
@@ -157,41 +154,58 @@ class MuMap(algebra.RationalMap):
         return sum((self.value(x, v) for v in self.owner.elements), Fraction(0))
 
 
-def _mu_condition_holds(p, values):
-    """The Poisson-type condition at z = x0 only (see MuMap), exact, in
-    O(n + |mu|) for mu given by its nonzero values {(x, y): v}, one key per
-    symmetric pair.
+def _associative(p, mu, lam, u0):
+    """True iff poisson_type(mu) + lambda_structure(lam, u0), plus any
+    mutational part, is associative: A_abc = A_cba for all a, b, c (see
+    verify_tp), for values {(x, y): v} with one key per symmetric pair of
+    mu.  With lam empty, u0 is not read, and the condition is the
+    Poisson-type condition of MuMap.
 
-    With r0 = r(x0) and c_y = mu(y, x0) it asks mu(x,y) r0 = c_y r(x) for
-    every x, y.  Where mu(x,y) = 0 that says c_y = 0 or r(x) = 0, and where
-    mu(x,y) != 0 it needs both nonzero; so it holds iff the ordered pairs
-    with mu(x,y) != 0 are exactly those with r(x) != 0 and c_y != 0, and
-    the equation holds on each of them.  The condition is homogeneous, so
-    the values may be scaled by any positive constant.
+    Fix the middle index b.  Unless b is an end of an extreme pair in lam's
+    support, the condition reads mu(a,b) r(c) = mu(c,b) r(a) for all a, c:
+    the column mu(., b) is a multiple of r.  When r != 0 and x0 has r(x0)
+    != 0, that column is mu(x0,b) r / r(x0), so its nonzero entries lie
+    exactly where r's do, or there are none; this is checked over mu's
+    nonzero values, in O(n + |mu|).  At each of the at most 2 |lam| end
+    columns b, A_abc is summed sparsely over (a, c) and checked symmetric.
+    A is homogeneous of degree 2 in (mu, lam), so the values may be scaled
+    by any positive constant.
     """
-    rows = {}
-    for (x, y), v in values.items():
+    rows, cols = {}, {}
+    for (x, y), v in mu.items():
         rows[x] = rows.get(x, 0) + v
+        cols.setdefault(y, {})[x] = v
         if x != y:
             rows[y] = rows.get(y, 0) + v
-    x0 = next((x for x in p.elements if rows.get(x)), None)
-    if x0 is None:
+            cols.setdefault(x, {})[y] = v
+    if not cols:
         return True
-    r0 = rows[x0]
-    col0 = {}
-    for (x, y), v in values.items():
-        if y == x0:
-            col0[x] = v
-        if x == x0:
-            col0[y] = v
-    count = 0
-    for (x, y), v in values.items():
-        for a, b in (((x, y), (y, x)) if x != y else ((x, y),)):
-            c, ra = col0.get(b), rows[a]
-            if c is None or not ra or v * r0 != c * ra:
+    r = {x: v for x, v in rows.items() if v}
+    ends = {x for pair in lam for x in pair}
+    if r:
+        x0, r0 = next(iter(r.items()))
+        for b, col in cols.items():
+            c = col.get(x0)
+            if b not in ends and (c is None or len(col) != len(r) or any(
+                    v * r0 != c * r.get(a, 0) for a, v in col.items())):
                 return False
-            count += 1
-    return count == len(col0) * sum(1 for r in rows.values() if r)
+    if not ends:
+        return True
+    order, sides = bridge_sides(p, u0)
+    A = {b: {(a, c): v * rc for a, v in cols.get(b, {}).items()
+             for c, rc in r.items()} for b in ends}
+    for (x, y), q in lam.items():
+        sgn, lo, hi = sides[(x, y)]
+        m = {}
+        for v in order[lo:hi]:
+            algebra.add_scaled(m, cols.get(v, {}))
+        for b in (x, y):        # w_e d_e(a) d_e(b) is sgn q if a == b
+            for a in (x, y):
+                w = sgn * q if a == b else -sgn * q
+                for c, mc in m.items():
+                    A[b][(a, c)] = A[b].get((a, c), 0) - w * mc
+    return all(v == Ab.get((c, a), 0)
+               for Ab in A.values() for (a, c), v in Ab.items())
 
 
 # The _*_entries functions add a family's products, from its values
@@ -375,19 +389,19 @@ def verify_tp(prod):
 
     - Certificate (_certified at the first element u): the table equals
       poisson_type(mu) + mutational(nu) + lambda_structure(lam, u) for the
-      (mu, nu, lam) read off it, mu passes the Poisson-type condition, and
-      sum_{v in V} mu(v, z) = 0 for every side set V of lam's support and
-      every z.  That proves both axioms, so the all-pass report is returned
-      after one pass over the table and one rebuild of it, with no sweep.
-    - Sweep: otherwise associativity and the transposed Leibniz rule
-      2 z.[x,y] = [z.x, y] + [x, z.y] are checked on every basis triple, in
+      (mu, nu, lam) read off it, and (mu, lam) pass the condition on A
+      below (_associative).  That proves both axioms, so the all-pass
+      report is returned after one pass over the table and one rebuild of
+      it, with no sweep.
+    - Sweep: otherwise the table is not transposed Poisson (see below), and
+      associativity and the transposed Leibniz rule 2 z.[x,y] = [z.x, y] +
+      [x, z.y] are checked on every basis triple to find the witness, in
       integer arithmetic after clearing denominators, skipping without
-      enumerating the triples on which both sides vanish.  It finds the
-      witness, or proves the axioms for a table the certificate missed.
+      enumerating the triples on which both sides vanish.
 
-    Why the certificate is sound.  Write D_ab f = f_aa - f_bb and f_ab for
-    the e_ab coefficient.  In closed form the three families are
-      P(f, g) = (sum_xy mu(x,y) f_xx g_yy) delta,  delta the identity,
+    Why the certificate is sound.  Write D_ab f = f_aa - f_bb, f_ab for the
+    e_ab coefficient and f_a = f_aa.  In closed form the three families are
+      P(f, g) = (sum_ab mu(a,b) f_a g_b) delta,  delta the identity,
       M(f, g) = -sum_ab nu(a,b) D_ab f D_ab g e_ab  over min-max pairs,
       L(f, g) = sum_e q_e (-s_e D_e f D_e g e_V(e)
                            + (D_e f g_e + D_e g f_e) e_e)
@@ -404,14 +418,11 @@ def verify_tp(prod):
       families as transposed Poisson structures).
     - Associativity: (f.g).h - f.(g.h) for a sum of products is the sum of
       that expression over every ordered pair (F, G) of families, F applied
-      outermost.  P with itself is the Poisson-type condition, checked.  M
-      with itself vanishes, as M's values are strict.  L with itself is
-      sum_e q_e^2 (-s_e D_e f D_e g D_e h e_V(e) + (D_e f D_e g h_e +
-      D_e g D_e h f_e + D_e h D_e f g_e) e_e), symmetric in f, g, h.
+      outermost.  M with itself vanishes, as M's values are strict.  L
+      with itself is sum_e q_e^2 (-s_e D_e f D_e g D_e h e_V(e) + (D_e f
+      D_e g h_e + D_e g D_e h f_e + D_e h D_e f g_e) e_e), symmetric in f,
+      g, h.
     - P and M are orthogonal: M kills delta and P kills M's strict values.
-    - P and L are orthogonal once the compatibility condition holds: L
-      kills delta, and the diagonal part of an L value is a combination
-      of the e_V(e), on which P is sum_{v in V(e), z} mu(v,z) h_zz delta = 0.
     - M and L are not orthogonal (test_lambda_plus_mutational_sums), but
       their cross terms cancel.  L(M(f,g), h) = -sum_e q_e nu_e D_e f D_e g
       D_e h e_e is symmetric in f, g, h, so it cancels against
@@ -419,20 +430,33 @@ def verify_tp(prod):
       pairs (a, b) and extreme pairs e of terms with the factor D_ab e_V(e),
       nonzero only for (a, b) = e, where the remaining factor
       D_e f D_e g D_e h - D_e f D_e g D_e h is 0.
-    So only the three checked conditions are needed: nu is read on min-max
-    pairs and lam on extreme pairs only, and the exact comparison with the
-    table makes the read-off itself carry no assumption.  The certificate
-    runs on the table cleared of denominators (see algebra.cleared): a
-    positive multiple of a sum of the three families is the sum of the same
-    multiples, and all three conditions are homogeneous.
+    - So only the P.P and P.L terms are left, all multiples of delta, as L
+      kills delta.  Let r be mu's row sums, d_e = 1_x - 1_y for e = (x, y),
+      w_e = q_e s_e and m_e(c) = sum_{v in V(e)} mu(v,c).  P(P(f,g), h) =
+      sum_abc mu(a,b) r_c f_a g_b h_c delta; the diagonal part of L(f, g)
+      is -sum_e w_e D_e f D_e g e_V(e), and P(e_V(e), h) = sum_c m_e(c) h_c
+      delta.  So with A_abc = mu(a,b) r_c - sum_e w_e d_e(a) d_e(b) m_e(c)
+      these terms sum to sum_abc (A_abc - A_cba) f_a g_b h_c delta, and the
+      sum of the families is associative exactly when A_abc = A_cba.
+    nu is read on min-max pairs and lam on extreme pairs only, and the
+    exact comparison with the table makes the read-off itself carry no
+    assumption.  The certificate runs on the table cleared of denominators
+    (see algebra.cleared): a positive multiple of a sum of the three
+    families is the sum of the same multiples, and A is homogeneous.
+
+    Why a rejected certificate proves that a table is not transposed
+    Poisson.  By the paper's second theorem such a table is a sum of the
+    three families at some base point, mu any symmetric function (the
+    brute-force oracle in the tests finds exactly that span of products
+    with the transposed Leibniz rule on every poset of up to 5 elements
+    and random ones of up to 8).  Moving the base point across an extreme
+    bridge shifts mu by a zero-row-sum term, so it is such a sum at u too,
+    and the read-off at u is exact: it rebuilds, and as the table is
+    associative, A_abc = A_cba.
     """
-    return _report(prod.owner, algebra.cleared(
-        {key: elem.coeffs for key, elem in prod.table.items()}))
-
-
-def _report(p, table):
-    """verify_tp's report on the cleared table: the certificate at the first
-    element, else the sweep."""
+    p = prod.owner
+    table = algebra.cleared(
+        {key: elem.coeffs for key, elem in prod.table.items()})
     if _certified(p, table, p.elements[0]):
         return {"associative": True, "transposed_leibniz": True,
                 "witness": None}
@@ -470,41 +494,16 @@ def _family_entries(p, mu, nu, lam, u0):
     return entries
 
 
-def _in_shape(p, table):
-    """True iff every key of the table has a shape that some sum of the
-    three families gives it: O(nnz), no arithmetic.
+def _read_off(p, table, u0):
+    """(mu, nu, lambda) values read off a table {(i, j): {r: v}} at base
+    point u0, in one pass over its keys, or None if the table has a
+    product of a shape that no sum of the three families gives it.
 
     e_x . e_y has outputs on the diagonal (Poisson type, lambda) and on the
     strict pair between x and y (mutational), e_x . e_x also on strict
     pairs with an end at x (mutational), and e_x . e_xy or e_y . e_xy, for
     an extreme pair (x, y), on e_xy only (lambda); every other product of
-    basis vectors is 0.  A table out of shape lies in no such sum, so the
-    certificate stops before any read-off.
-    """
-    pairs = p.pairs
-    for (i, j), coeffs in table.items():
-        a, b = pairs[i]
-        c, d = pairs[j]
-        if a == b and c == d:
-            for r in coeffs:
-                x, y = pairs[r]
-                if x != y and not ((x == a or y == a) if a == c
-                                   else x in (a, c) and y in (a, c)):
-                    return False
-        elif a == b or c == d:
-            w, k = (a, j) if a == b else (c, i)
-            strict = pairs[k]
-            if (w not in strict or not is_extreme_pair(p, strict)
-                    or len(coeffs) != 1 or k not in coeffs):
-                return False
-        else:
-            return False
-    return True
-
-
-def _read_off(p, table, u0):
-    """(mu, nu, lambda) values read off a table {(i, j): {r: v}} at base
-    point u0, in one pass over its keys.
+    basis vectors is 0.
 
     lambda(x,y) is the e_xy coefficient of e_x . e_xy on extreme pairs,
     nu(x,y) the e_xy coefficient of e_x . e_y on minimal-maximal pairs, and
@@ -512,49 +511,36 @@ def _read_off(p, table, u0):
     at u0 contributes nothing at (u0,u0), so for a table in the span of the
     three families at u0 the read-off is exact.
     """
-    pairs, pidx = p.pairs, p.pair_index
-    du = pidx[(u0, u0)]
+    pairs = p.pairs
+    du = p.pair_index[(u0, u0)]
     minmax = algebra.minmax_pair_set(p)
     mu, nu, lam = {}, {}, {}
     for (i, j), coeffs in table.items():
         (a, b), (c, d) = pairs[i], pairs[j]
         if a == b and c == d:
+            for r in coeffs:
+                x, y = pairs[r]
+                if x == y:
+                    continue
+                if not ((x == a or y == a) if a == c
+                        else x in (a, c) and y in (a, c)):
+                    return None
+                if a != c and (x, y) in minmax:     # the pair joining a, c
+                    nu[(x, y)] = coeffs[r]
             v = coeffs.get(du)
             if v:
                 mu[(a, c)] = v
-            pair = (a, c) if (a, c) in minmax else (c, a)
-            if pair in minmax:
-                v = coeffs.get(pidx[pair])
-                if v:
-                    nu[pair] = v
         elif a == b or c == d:
             w, k = (a, j) if a == b else (c, i)
             pair = pairs[k]
-            if w == pair[0] and is_extreme_pair(p, pair):
-                v = coeffs.get(k)
-                if v:
-                    lam[pair] = v
+            if (w not in pair or len(coeffs) != 1 or k not in coeffs
+                    or not is_extreme_pair(p, pair)):
+                return None
+            if w == pair[0]:
+                lam[pair] = coeffs[k]
+        else:
+            return None
     return mu, nu, lam
-
-
-def _compatible(p, mu, lam, u0):
-    """sum_{v in V} mu(v, z) = 0 for every side set V of lambda's support
-    and every z, summed over mu's nonzero values only."""
-    if not mu or not lam:
-        return True
-    order, sides = bridge_sides(p, u0)
-    for pair in lam:
-        _sgn, lo, hi = sides[pair]
-        side = set(order[lo:hi])
-        sums = {}
-        for (a, b), v in mu.items():
-            if a in side:
-                sums[b] = sums.get(b, 0) + v
-            if b in side and a != b:
-                sums[a] = sums.get(a, 0) + v
-        if any(sums.values()):
-            return False
-    return True
 
 
 def _rebuilds(p, table, parts, u0):
@@ -566,14 +552,11 @@ def _rebuilds(p, table, parts, u0):
 
 def _certified(p, table, u0):
     """True iff the certificate at u0 proves the table, cleared of
-    denominators, transposed Poisson (see verify_tp).  The steps run cheapest
-    first: the shape, the read-off, the mu condition, the compatibility
-    with lambda, the rebuild."""
-    if not _in_shape(p, table):
-        return False
+    denominators, transposed Poisson; False proves that it is not (see
+    verify_tp).  The steps run cheapest first: the read-off with its shape
+    check, the condition on (mu, lambda), the rebuild."""
     parts = _read_off(p, table, u0)
-    mu, _nu, lam = parts
-    return (_mu_condition_holds(p, mu) and _compatible(p, mu, lam, u0)
+    return (parts is not None and _associative(p, parts[0], parts[2], u0)
             and _rebuilds(p, table, parts, u0))
 
 
@@ -581,25 +564,23 @@ def decompose_tp(prod, u0):
     """Read (mu, nu, lambda) off a transposed Poisson product at u0 (see
     _read_off) and rebuild it exactly.
 
-    A certificate at u0 (see verify_tp) proves the table transposed Poisson
-    and rebuilds it in one pass, with no sweep.  Otherwise verify_tp's
-    report proves it or is raised with NotTransposedPoisson, and the
-    read-off at u0 is rebuilt and compared; it is exact even where the mu
-    read there fails the standalone condition (see
-    test_rebasing_shifts_mu_by_zero_row_sums), so mu is not gated on it
-    (see MuMap).  The values returned are the table's own coefficients.
+    The certificate at u0 (see verify_tp) decides: it proves the table
+    transposed Poisson and rebuilds it in one pass, or proves that it is
+    not, and then NotTransposedPoisson carries the sweep's report, the one
+    verify_tp gives.  The mu read off need not pass the standalone
+    condition (see MuMap).  The values returned are the table's own
+    coefficients.
     """
     p = prod.owner
     p.index(u0)
     coeffs = {key: elem.coeffs for key, elem in prod.table.items()}
     table = algebra.cleared(coeffs)
     if not _certified(p, table, u0):
-        report = _report(p, table)
-        if not tp_passes(report):
-            raise NotTransposedPoisson(report)
-        if not _rebuilds(p, table, _read_off(p, table, u0), u0):
-            raise ReconstructionMismatch(
-                "decomposition failed to rebuild the product")
+        report = _sweep(p, table)
+        if tp_passes(report):   # never, if the certificate is complete
+            raise ReconstructionMismatch("the sweep passes a table that "
+                                         "the certificate rejects")
+        raise NotTransposedPoisson(report)
     mu, nu, lam = _read_off(p, coeffs, u0)
     return TPDecomposition(MuMap(p, mu, check=False), NuElement(p, nu),
                            LambdaMap(p, lam), u0)
@@ -668,10 +649,11 @@ def _random_rational(rng, allow_zero=True):
 def random_mu(p, rng, side_sets=()):
     """Random valid mu, from the rank-one or the zero-row-sum family.
 
-    A lambda-structure and a Poisson-type structure only sum to something
+    A lambda-structure and a Poisson-type structure sum to something
     associative when every product e_V . e_z of a side-set idempotent
-    vanishes, i.e. sum_{v in V} mu(v, z) = 0 for each side set V and all z.
-    Passing the side sets of the lambda part restricts the draw to such mu:
+    vanishes, i.e. sum_{v in V} mu(v, z) = 0 for each side set V and all z
+    (sufficient, not necessary: see _associative).  Passing the side sets
+    of the lambda part restricts the draw to such mu:
     rank-one vectors vanish on the union of the side sets, and zero-row-sum
     generator pairs are taken within one signature class (elements lying in
     exactly the same side sets).

@@ -14,8 +14,8 @@ from itertools import permutations, product
 from lietp import algebra, poset, tpstruct
 from lietp.errors import LietpError, TooLarge
 from lietp.halfder import (CentralElement, KappaMap, LinearOperator, SigmaMap,
-                           _eliminate, central_valued, inner, phi_sigma,
-                           unit_brackets)
+                           _normalize_int_row, _solve, central_valued, inner,
+                           phi_sigma, unit_brackets)
 from lietp.poset import build_poset, enumerate_cycles, pair_classes
 
 
@@ -676,10 +676,24 @@ def reference_assoc_failure(rows):
     return None
 
 
+def reference_eliminate(pivots, row):
+    """halfder._eliminate as it stood before it reduced in place: a scaled
+    copy of the row at every step."""
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            pivots[c] = _normalize_int_row(row)
+            return True
+        a, b = row[c], prow[c]
+        row = algebra.add_scaled({k: b * v for k, v in row.items()}, prow, -a)
+    return False
+
+
 def reference_half_derivation_space(p, cap=5000):
-    """halfder.half_derivation_space as it stood before it split by weight:
-    every equation row reduced against one pivot set, every free unknown
-    back-substituted against all pivots."""
+    """halfder.half_derivation_space as it stood before it split by weight
+    and reduced rows in place: every equation row reduced against one pivot
+    set, every free unknown back-substituted against all pivots."""
     B = len(p.pairs)
     if B * B > cap:
         raise TooLarge("system has %d unknowns, cap is %d" % (B * B, cap))
@@ -704,7 +718,7 @@ def reference_half_derivation_space(p, cap=5000):
             for k in sorted(rows):
                 row = {u: v for u, v in rows[k].items() if v}
                 if row:
-                    _eliminate(pivots, row)
+                    reference_eliminate(pivots, row)
     free = [u for u in range(B * B) if u not in pivots]
     ops = []
     for f in free:
@@ -723,3 +737,61 @@ def reference_half_derivation_space(p, cap=5000):
                 cols[u // B][u % B] = v
         ops.append(LinearOperator(p, cols))
     return ops
+
+
+# --- brute-force transposed Leibniz products --------------------------------
+
+def tp_oracle_space(p):
+    """Basis of the commutative products whose left multiplications are
+    all half-derivations, by brute-force exact nullspace, as tables
+    {(i, j): {m: Fraction}}, i <= j.
+
+    The entry (b_i b_j)_m, i <= j, is the unknown t * B + m, t the number
+    of (i, j) among the keys in order, of weight deg b_m - deg b_i - deg
+    b_j, with the degrees of half_derivation_space; the weight's
+    coefficients lie in [-3, 3], so base 8 keeps distinct weights apart.
+    The left multiplication by b_z has the entry phi(b_k)_m = (b_z b_k)_m,
+    so its unknown map sends (k, m) to the unknown of the key (min(z, k),
+    max(z, k)) at m, and halfder._solve solves the equations of all B of
+    them together.
+    """
+    B = len(p.pairs)
+    keys = [(i, j) for i in range(B) for j in range(i, B)]
+    unknowns = {key: range(t * B, t * B + B) for t, key in enumerate(keys)}
+    operators = [[unknowns[tpstruct._table_key(z, k)] for k in range(B)]
+                 for z in range(B)]
+    deg = [8 ** p.index(x) - 8 ** p.index(y) for x, y in p.pairs]
+    weight = [deg[m] - deg[i] - deg[j] for i, j in keys for m in range(B)]
+    tables = []
+    for vec in _solve(p, operators, weight):
+        table = {}
+        for u, v in vec.items():
+            table.setdefault(keys[u // B], {})[u % B] = v
+        tables.append(table)
+    return tables
+
+
+def reference_assoc_condition(p, mu, lam, u0):
+    """tpstruct._associative from a dense n^3 scan: A_abc == A_cba for
+    every a, b, c, A_abc = mu(a,b) r(c) - sum_e w_e d_e(a) d_e(b) m_e(c),
+    for values {(x, y): v} of a MuMap and a LambdaMap."""
+    els = p.elements
+    full = {}
+    for (x, y), v in mu.items():
+        full[(x, y)] = full[(y, x)] = v
+    m = {}
+    for e, q in lam.items():
+        sgn, side = poset.sign_and_vset(p, u0, e)
+        m[e] = (sgn * q, {c: sum(full.get((v, c), 0) for v in side)
+                          for c in els})
+    r = {c: sum(full.get((c, v), 0) for v in els) for c in els}
+
+    def A(a, b, c):
+        total = full.get((a, b), 0) * r[c]
+        for (x, y), (w, mc) in m.items():
+            d = {x: 1, y: -1}
+            total -= w * d.get(a, 0) * d.get(b, 0) * mc[c]
+        return total
+
+    return all(A(a, b, c) == A(c, b, a)
+               for a in els for b in els for c in els)

@@ -9,10 +9,10 @@ from helpers import (Walk, apply, chain, corrupted, crown, full_catalog,
                      identity_operator, plus_one, random_admissible_sigma,
                      random_central, random_connected_poset, random_fraction,
                      random_half_derivation, random_kappa,
-                     reference_half_derivation_space,
+                     reference_eliminate, reference_half_derivation_space,
                      reference_is_half_derivation, walk_between,
                      walk_diag_value, walk_functionals)
-from lietp import tpstruct
+from lietp import halfder, tpstruct
 from lietp.algebra import (commutator, diag_unit, element, identity,
                            minmax_pairs, unit)
 from lietp.errors import NotCentralInCommutator, NotHalfDerivation, TooLarge
@@ -306,6 +306,23 @@ def test_oracle_matches_reference_solver():
         cap = len(p.pairs) ** 2
         assert (half_derivation_space(p, cap=cap)
                 == reference_half_derivation_space(p, cap=cap)), p.covers
+
+
+def test_eliminate_matches_reference_on_random_rows():
+    # the oracle's pivot rows all lead with 1; random rows reach the
+    # scaling step of an in-place reduction as well
+    rng = random.Random(37)
+    scaled = 0
+    for _ in range(200):
+        pivots, reference = {}, {}
+        for _ in range(rng.randint(1, 12)):
+            row = {rng.randrange(10): rng.choice((-6, -3, -2, 2, 4, 9))
+                   for _ in range(rng.randint(1, 6))}
+            scaled += any(reference.get(c, {}).get(c, 1) != 1 for c in row)
+            assert (halfder._eliminate(pivots, dict(row))
+                    == reference_eliminate(reference, dict(row)))
+            assert pivots == reference
+    assert scaled > 100
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import random
 from fractions import Fraction
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from helpers import (MU_KINDS, BruteForce, chain, corrupted, data_catalog,
                      full_catalog, random_central, random_connected_poset,
-                     random_fraction, random_raw_mu, reference_assoc_failure,
-                     reference_mu_condition, reference_orthogonal,
-                     reference_poisson_type, reference_verify,
-                     same_components)
+                     random_fraction, random_raw_mu, reference_assoc_condition,
+                     reference_assoc_failure, reference_mu_condition,
+                     reference_orthogonal, reference_poisson_type,
+                     reference_verify, same_components, tp_oracle_space)
 from lietp import algebra, tpstruct
 from lietp.algebra import (commutator, diag_unit, element, identity,
                            minmax_pairs, unit)
@@ -61,21 +62,63 @@ def _shipped_and_random_posets(data_dir, rng, count=30):
     return posets
 
 
+def _large_denominators(rng, raw):
+    """raw with each value divided by its own large denominator."""
+    return {pr: v / rng.randrange(10 ** 30, 10 ** 31) for pr, v in raw.items()}
+
+
 def test_mu_condition_matches_reference(data_dir):
+    # MuMap's check is _associative with lambda = 0, on the values cleared
+    # of denominators; rank-one mu from a vector with large distinct
+    # denominators, and draws divided entry by entry by such denominators,
+    # make that clearing scale by hundreds of digits
     rng = random.Random(4)
-    verdicts = {kind: set() for kind in MU_KINDS}
+    verdicts = {kind: set() for kind in MU_KINDS + ("large", "large+1")}
     for p in _shipped_and_random_posets(data_dir, rng):
-        for kind in MU_KINDS:
-            for _ in range(4):
-                raw = random_raw_mu(p, rng, kind)
-                expected = reference_mu_condition(
-                    p, MuMap(p, raw, check=False))
-                assert _mu_passes(p, raw) == expected, (p.covers, raw)
-                verdicts[kind].add(expected)
+        raws = [(kind, random_raw_mu(p, rng, kind))
+                for kind in MU_KINDS for _ in range(4)]
+        raws += [("large", _large_denominators(rng, raw))
+                 for _kind, raw in raws]
+        els = p.elements
+        a = _large_denominators(rng, {x: random_fraction(rng) for x in els})
+        rank_one = {(x, y): a[x] * a[y]
+                    for i, x in enumerate(els) for y in els[i:]}
+        bumped = dict(rank_one)
+        bumped[rng.choice(sorted(rank_one))] += _large_denominators(
+            rng, {0: Fraction(1)})[0]
+        raws += [("large", rank_one), ("large+1", bumped)]
+        for kind, raw in raws:
+            expected = reference_mu_condition(p, MuMap(p, raw, check=False))
+            assert _mu_passes(p, raw) == expected, (p.covers, raw)
+            verdicts[kind].add(expected)
     assert verdicts["rank-one"] == verdicts["zero-row-sum"] == {True}
     assert False in verdicts["rank-one+1"] and False in verdicts[
         "zero-row-sum+1"]
-    assert verdicts["sparse"] == {True, False}
+    assert verdicts["sparse"] == verdicts["large"] == {True, False}
+    assert False in verdicts["large+1"]
+
+
+def test_assoc_condition_matches_dense_reference():
+    # the sparse condition on (mu, lambda) against the n^3 definition of A,
+    # for every MU_KINDS mu with random lambda at every base point
+    rng = random.Random(6)
+    posets = list(CATALOG) + [
+        random_connected_poset(rng, rng.randint(5, 9),
+                               dense=rng.random() < 0.5) for _ in range(20)]
+    verdicts = set()
+    for p in posets:
+        extreme = extreme_pairs(p)
+        for kind in MU_KINDS:
+            mu = MuMap(p, random_raw_mu(p, rng, kind), check=False).values
+            lam = LambdaMap(p, {pr: random_fraction(rng) for pr in extreme
+                                if rng.random() < 0.7}).values
+            for u0 in p.elements:
+                expected = reference_assoc_condition(p, mu, lam, u0)
+                assert tpstruct._associative(p, mu, lam, u0) == expected, (
+                    p.covers, mu, lam, u0)
+                verdicts.add((bool(lam), expected))
+    assert verdicts == {(False, False), (False, True), (True, False),
+                        (True, True)}
 
 
 def _coeffs(prod):
@@ -448,23 +491,21 @@ def _cleared(prod):
 
 
 def _check_certificate(prod, reference):
-    """The certificate at every base point accepts only tables the reference
-    passes, and rebuilds them; verify_tp and decompose_tp agree with the
-    reference.  Returns the base points where the certificate accepts."""
+    """The certificate accepts the table at every base point if the
+    reference passes it, and rebuilds it there, and at no base point if
+    not; verify_tp and decompose_tp agree with the reference."""
     p = prod.owner
     passes = tp_passes(reference)
-    accepted = []
     for u0 in p.elements:
-        if tpstruct._certified(p, _cleared(prod), u0):
-            assert passes, (p.covers, u0, reference)
+        assert tpstruct._certified(p, _cleared(prod), u0) == passes, (
+            p.covers, u0, reference)
+        if passes:
             assert decompose_tp(prod, u0).reconstruct() == prod
-            accepted.append(u0)
     assert verify_tp(prod) == reference
     if not passes:
         with pytest.raises(NotTransposedPoisson) as exc:
             decompose_tp(prod, p.elements[-1])
         assert exc.value.report == verify_tp(prod)
-    return accepted
 
 
 def _certificate_corpus():
@@ -481,24 +522,74 @@ def _certificate_corpus():
             yield p, brute, t, prod
 
 
-def test_certificate_never_accepts_a_rejected_table():
-    # the reference is the sweep, and on the catalog also the brute-force
-    # verifier wherever the certificate accepts; the random_tp draws there
-    # are test_verify_matches_brute_force_on_catalog's, which checks them
-    counts = {"tables": 0, "tp": 0, "accepted": 0}
-    for p, brute, t, prod in _certificate_corpus():
+def _check_corpus(corpus):
+    """_check_certificate on every table, with the sweep as the reference;
+    returns how many tables there were and how many were transposed
+    Poisson.  On catalog posets the brute-force verifier confirms every
+    transposed Poisson table; the random_tp draws there, and corrupted
+    copies of them, are test_verify_matches_brute_force_on_catalog's."""
+    tables = tp = 0
+    for p, brute, t, prod in corpus:
         reference = tpstruct._sweep(p, _cleared(prod))
-        accepted = _check_certificate(prod, reference)
-        if brute and accepted and t > 0:
+        if brute and t > 0 and tp_passes(reference):
             assert reference_verify(prod) == reference
-        # every family draw is certified where it was built
-        assert t > 0 or p.elements[0] in accepted
-        counts["tables"] += 1
-        counts["tp"] += tp_passes(reference)
-        counts["accepted"] += bool(accepted)
-    # so are most of the other transposed Poisson tables, at some base point
-    assert counts["tp"] > counts["accepted"] > counts["tp"] * 0.9
-    assert counts["tables"] > 2 * counts["tp"]
+        _check_certificate(prod, reference)
+        tables += 1
+        tp += tp_passes(reference)
+    return tables, tp
+
+
+def test_certificate_never_accepts_a_rejected_table():
+    # the certificate is exact: it accepts every transposed Poisson table
+    # at every base point and no other table at any
+    tables, tp = _check_corpus(_certificate_corpus())
+    assert tables == 620 and tp == 203
+
+
+def test_certificate_is_exact_on_larger_random_posets():
+    def corpus():
+        for seed in range(100, 140):
+            rng = random.Random(seed)
+            p = random_connected_poset(rng, rng.randint(5, 10),
+                                       dense=rng.random() < 0.5)
+            for t, prod in enumerate(_soundness_tables(p, rng, seed)):
+                yield p, False, t, prod
+
+    tables, tp = _check_corpus(corpus())
+    assert tables == 318 and tp == 106
+
+
+# --- the brute-force oracle of the paper's second theorem --------------------
+
+@functools.lru_cache(maxsize=None)
+def _tp_oracle_cases():
+    """(poset, tp_oracle_space basis) on the catalog and on 8 seeded random
+    posets of 5 to 8 elements."""
+    rng = random.Random(41)
+    posets = list(CATALOG) + [
+        random_connected_poset(rng, rng.randint(5, 8),
+                               dense=rng.random() < 0.5) for _ in range(8)]
+    return tuple((p, tp_oracle_space(p)) for p in posets)
+
+
+def test_tp_oracle_dimension_law():
+    # the products satisfying the transposed Leibniz rule: Poisson type
+    # with any symmetric mu, mutational and lambda, and nothing else
+    for p, space in _tp_oracle_cases():
+        n = len(p.elements)
+        assert len(space) == (n * (n + 1) // 2 + len(minmax_pairs(p))
+                              + len(extreme_pairs(p))), p.covers
+
+
+def test_tp_oracle_basis_rebuilds():
+    # with the dimension law, this proves on these posets that every such
+    # product is a sum of the three families at every base point
+    for p, space in _tp_oracle_cases():
+        for table in space:
+            for u0 in p.elements:
+                parts = tpstruct._read_off(p, table, u0)
+                assert parts is not None, (p.covers, table)
+                assert tpstruct._rebuilds(p, table, parts, u0), (p.covers, u0)
 
 
 # --- the associativity kernel against its reference --------------------------
@@ -602,7 +693,7 @@ def test_assoc_kernel_matches_reference(monkeypatch):
 
 def test_certificate_rejects_out_of_shape_tables(vee):
     table = _cleared(random_tp(vee, seed=4))
-    assert tpstruct._in_shape(vee, table)
+    assert tpstruct._read_off(vee, table, "1") is not None
     d1, e12, d2, d3 = (vee.pair_index[pr] for pr in (
         ("1", "1"), ("1", "2"), ("2", "2"), ("3", "3")))
     # two strict factors; a diagonal factor times a strict one with another
@@ -611,7 +702,8 @@ def test_certificate_rejects_out_of_shape_tables(vee):
                         ((d2, d3), {e12: 1})):
         bad = dict(table)
         bad[key] = coeffs
-        assert not tpstruct._in_shape(vee, bad)
+        assert tpstruct._read_off(vee, bad, "1") is None
+        assert not tpstruct._certified(vee, bad, "1")
 
 
 def test_decompose_runs_no_sweep_on_a_certified_table(monkeypatch, branch4):
