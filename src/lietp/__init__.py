@@ -4,7 +4,7 @@ on Lie incidence algebras of finite connected posets."""
 from .algebra import (IncidenceElement, commutator, diag_unit, element,
                       from_records, identity, minmax_pairs, multiply,
                       to_records, unit, zero)
-from .errors import (CapExceeded, CycleInOrder, LietpError, MuNotAssociative,
+from .errors import (CapExceeded, CycleInOrder, LietpError,
                      NotCentralInCommutator, NotConnected, NotExtreme,
                      NotHalfDerivation, NotTransposedPoisson, OwnerMismatch,
                      ParseError, ReconstructionMismatch, RedundantCover,

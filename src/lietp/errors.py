@@ -57,10 +57,6 @@ class NotCentralInCommutator(LietpError):
     """Element is not supported on the Z([L,L]) basis."""
 
 
-class MuNotAssociative(LietpError):
-    pass
-
-
 class NotTransposedPoisson(LietpError):
     def __init__(self, report=None):
         self.report = report

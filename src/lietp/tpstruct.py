@@ -11,8 +11,8 @@ import random
 from fractions import Fraction
 
 from . import algebra, halfder
-from .errors import (MuNotAssociative, NotTransposedPoisson, OwnerMismatch,
-                     ParseError, ReconstructionMismatch, UnknownElement)
+from .errors import (NotTransposedPoisson, OwnerMismatch, ParseError,
+                     ReconstructionMismatch, UnknownElement)
 from .poset import bridge_sides, extreme_pairs, is_extreme_pair, sign_and_vset
 
 NuElement = halfder.CentralElement
@@ -122,26 +122,17 @@ def _build(p, entries):
 
 
 class MuMap(algebra.RationalMap):
-    """Symmetric rational function on X x X passing the Poisson-type condition
-    mu(x,y) r(z) = mu(y,z) r(x) for all x, y, z, where r(x) = sum_v mu(x,v).
+    """Symmetric rational function on X x X: one value per unordered pair,
+    spelled either way round.
 
-    That is _associative with lambda = 0, run on the values cleared of
-    denominators: it holds exactly when r is identically 0 or every column
-    of mu is a multiple of r.
-
-    check=False skips the condition.  decompose_tp needs that: the mu it
-    reads off next to a nonzero lambda passes the joint condition with
-    that lambda (see verify_tp), not always the standalone one (see
-    test_rebasing_shifts_mu_by_zero_row_sums).
+    It is judged only jointly with lambda, by the certificate in verify_tp
+    (see _associative): the mu read off a transposed Poisson table next to
+    a nonzero lambda need not pass the lambda = 0 condition on its own, as
+    moving the base point across an extreme bridge shifts mu by a
+    zero-row-sum term.
     """
 
     clash = "mu given asymmetric values at (%r, %r)"
-
-    def __init__(self, owner, values, check=True):
-        super().__init__(owner, values)
-        if check and not _associative(
-                owner, algebra.cleared({0: self.values})[0], {}, None):
-            raise MuNotAssociative("mu fails the Poisson-type condition")
 
     def _key(self, pair):
         x, y = pair
@@ -150,16 +141,14 @@ class MuMap(algebra.RationalMap):
     def value(self, x, y):
         return self.values.get(self._key((x, y)), Fraction(0))
 
-    def row_sum(self, x):
-        return sum((self.value(x, v) for v in self.owner.elements), Fraction(0))
-
 
 def _associative(p, mu, lam, u0):
     """True iff poisson_type(mu) + lambda_structure(lam, u0), plus any
     mutational part, is associative: A_abc = A_cba for all a, b, c (see
     verify_tp), for values {(x, y): v} with one key per symmetric pair of
     mu.  With lam empty, u0 is not read, and the condition is the
-    Poisson-type condition of MuMap.
+    Poisson-type condition mu(x,y) r(z) = mu(y,z) r(x), r the row sums of
+    mu: r is identically 0 or every column of mu is a multiple of r.
 
     Fix the middle index b.  Unless b is an end of an extreme pair in lam's
     support, the condition reads mu(a,b) r(c) = mu(c,b) r(a) for all a, c:
@@ -392,7 +381,9 @@ def verify_tp(prod):
       (mu, nu, lam) read off it, and (mu, lam) pass the condition on A
       below (_associative).  That proves both axioms, so the all-pass
       report is returned after one pass over the table and one rebuild of
-      it, with no sweep.
+      it, with no sweep.  This joint condition is the only judge of mu: a
+      mu that fails it with lambda = 0 can still sit next to a nonzero
+      lambda in a transposed Poisson table.
     - Sweep: otherwise the table is not transposed Poisson (see below), and
       associativity and the transposed Leibniz rule 2 z.[x,y] = [z.x, y] +
       [x, z.y] are checked on every basis triple to find the witness, in
@@ -567,9 +558,9 @@ def decompose_tp(prod, u0):
     The certificate at u0 (see verify_tp) decides: it proves the table
     transposed Poisson and rebuilds it in one pass, or proves that it is
     not, and then NotTransposedPoisson carries the sweep's report, the one
-    verify_tp gives.  The mu read off need not pass the standalone
-    condition (see MuMap).  The values returned are the table's own
-    coefficients.
+    verify_tp gives.  The mu read off is judged jointly with the lambda
+    read off, not on its own (see MuMap).  The values returned are the
+    table's own coefficients.
     """
     p = prod.owner
     p.index(u0)
@@ -582,7 +573,7 @@ def decompose_tp(prod, u0):
                                          "the certificate rejects")
         raise NotTransposedPoisson(report)
     mu, nu, lam = _read_off(p, coeffs, u0)
-    return TPDecomposition(MuMap(p, mu, check=False), NuElement(p, nu),
+    return TPDecomposition(MuMap(p, mu), NuElement(p, nu),
                            LambdaMap(p, lam), u0)
 
 
@@ -647,13 +638,15 @@ def _random_rational(rng, allow_zero=True):
 
 
 def random_mu(p, rng, side_sets=()):
-    """Random valid mu, from the rank-one or the zero-row-sum family.
+    """Random mu, zero or from the rank-one or the zero-row-sum family; each
+    passes the Poisson-type condition (_associative with lambda = 0).
 
     A lambda-structure and a Poisson-type structure sum to something
     associative when every product e_V . e_z of a side-set idempotent
     vanishes, i.e. sum_{v in V} mu(v, z) = 0 for each side set V and all z
     (sufficient, not necessary: see _associative).  Passing the side sets
-    of the lambda part restricts the draw to such mu:
+    of the lambda part restricts the draw to such mu, so that (mu, lambda)
+    pass the joint condition:
     rank-one vectors vanish on the union of the side sets, and zero-row-sum
     generator pairs are taken within one signature class (elements lying in
     exactly the same side sets).

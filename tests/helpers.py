@@ -585,7 +585,8 @@ def same_components(p, dec, mu, nu, lam):
 
 def reference_mu_condition(p, mu):
     """mu(x,y) r(z) == mu(y,z) r(x) on every triple, r the row sums."""
-    rows = {x: mu.row_sum(x) for x in p.elements}
+    rows = {x: sum((mu.value(x, v) for v in p.elements), Fraction(0))
+            for x in p.elements}
     for x in p.elements:
         for y in p.elements:
             for z in p.elements:

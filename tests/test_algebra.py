@@ -276,7 +276,7 @@ def test_value_map_equality_order_and_mu_symmetry(vee):
     assert LambdaMap(vee, {("1", "3"): 1, ("1", "2"): 1}).support() == [
         ("1", "2"), ("1", "3")]
     mu = MuMap(vee, {("2", "1"): 1, ("1", "2"): 1, ("1", "1"): 1,
-                     ("2", "2"): 1}, check=False)
+                     ("2", "2"): 1})
     assert mu.values == {("1", "2"): 1, ("1", "1"): 1, ("2", "2"): 1}
     assert mu.value("2", "1") == 1 and mu.value("3", "1") == 0
     with pytest.raises(ValueError) as exc:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lietp import algebra, cli, examples, poset
+from lietp import algebra, cli, examples, poset, tpstruct
 from lietp.errors import GoldenMismatch, ParseError
 
 
@@ -179,6 +179,37 @@ def test_tp_build_incompatible_sum_fails(capsys, data_dir, tmp_path):
     assert rep["verify"]["witness"] == {
         "check": "associative",
         "triple": [["1", "1"], ["1", "1"], ["2", "2"]]}
+
+
+def test_tp_decompose_output_builds_and_normalizes(capsys, data_dir,
+                                                   tmp_path):
+    # the decomposition that `tp decompose` prints at any base point is a
+    # components file that `tp build` turns back into the same table; its
+    # mu is judged jointly with its lambda, so a mu that fails the lambda = 0
+    # condition on its own still builds
+    cfile, tfile = tmp_path / "components.json", tmp_path / "table.json"
+    for path in sorted(data_dir.glob("*.poset")):
+        p = poset.parse_poset(path.read_text())
+        for seed in range(10):
+            cfile.write_text(cli._dumps(cli._decomposition_payload(
+                tpstruct.TPDecomposition(
+                    *tpstruct.random_tp_components(p, seed)))))
+            rc, built = run_cli(capsys, "tp", "build", str(path), str(cfile))
+            assert rc == 0, (path.name, seed)
+            tfile.write_text(json.dumps({"table": built["table"]}))
+            for u in p.elements:
+                rc, rep = run_cli(capsys, "tp", "decompose", str(path),
+                                  str(tfile), "--u0", u)
+                assert rc == 0, (path.name, seed, u)
+                cfile.write_text(json.dumps(rep["decomposition"]))
+                rc, rebuilt = run_cli(capsys, "tp", "build", str(path),
+                                      str(cfile))
+                assert (rc, rebuilt.get("table")) == (0, built["table"]), (
+                    path.name, seed, u)
+                rc, norm = run_cli(capsys, "tp", "normalize", str(path),
+                                   str(cfile))
+                assert (rc, norm.get("consistent")) == (0, True), (
+                    path.name, seed, u)
 
 
 def test_tp_normalize(capsys, data_dir, tmp_path):

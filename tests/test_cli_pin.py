@@ -2,13 +2,17 @@
 the shipped posets.
 
 `cli_tp_pinned.json` holds, for every `data/` poset, seeded components
-files (from `random_tp_components`, plus one mu that fails the Poisson-type
-condition), the tables `tp build` printed for them and a copy of each with
-one coefficient raised by 1.  For every `tp build`, `tp verify`,
-`tp decompose` (at every base point) and `tp normalize` invocation it
-records the exit code and the exact stdout.  The expected outputs were
-recorded from the code as it stood before the constructor layer was
-rewritten for speed.
+files (from `random_tp_components`, plus one whose mu, (x,x) = (x,y) = 1
+on the first two elements, fails the Poisson-type condition, so that
+`tp build` prints a table whose verify report fails), the tables `tp
+build` printed for them and a copy of each with one coefficient raised by
+1.  For every `tp build`, `tp verify`, `tp decompose` (at every base
+point) and `tp normalize` invocation it records the exit code and the
+exact stdout.  The expected outputs were recorded from the code as it
+stood before the constructor layer was rewritten for speed, except for
+the failing-mu cases, recorded again when mu stopped being judged on its
+own: `build` now prints the table and a failing report where it printed
+an error, and `normalize`, which runs no verifier, exits 0.
 
 `cli_decompose_pinned.json` holds, for every `data/` poset, seeded
 operators from `random_half_derivation` decomposed at every base point, a
