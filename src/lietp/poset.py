@@ -7,7 +7,7 @@ Conventions used across the package:
     have x < y and no element strictly between.
 """
 
-from itertools import accumulate, count, repeat
+from itertools import accumulate, repeat
 
 from .errors import (CapExceeded, CycleInOrder, NotConnected, NotExtreme,
                      ParseError, RedundantCover, TooSmall, UnknownElement)
@@ -129,14 +129,8 @@ def build_poset(labels, cover_pairs):
     if extra:
         raise RedundantCover("input pairs %s are not cover edges after closure" % (extra,))
     p = Poset(labels, rows, upper, lower)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in p._adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(labels):
+    # connected iff the one block search from element 0 reaches every element
+    if len(_cover_graph_data(p)[2]) != len(labels):
         raise NotConnected("cover graph is disconnected")
     return p
 
@@ -188,7 +182,7 @@ def enumerate_cycles(p, cap=10000):
     `lietp analyze` counts cycles with it.  The search is exponential in
     general: it raises CapExceeded past `cap` cycles, but the paths it
     explores are not capped, and on a random poset with 80 elements and
-    110 covers it does not finish within 60 s (ROADMAP item 5).  Each
+    110 covers it does not finish within 60 s (ROADMAP item 4).  Each
     cycle is reported once, starting at its smallest vertex, in the
     direction whose second vertex is smaller than its last.
     """
@@ -214,13 +208,16 @@ def enumerate_cycles(p, cap=10000):
 
 
 def _block_search(p):
-    """The cover edges of each biconnected block of the cover graph, as
-    index pairs in either direction, from one iterative depth-first search
-    (Hopcroft–Tarjan); the graph is connected, so one root reaches all."""
+    """The one depth-first search of the cover graph (Hopcroft–Tarjan),
+    iterative, from element 0.  Returns (blocks, order, disc, end): the
+    cover edges of each biconnected block, as index pairs in either
+    direction; the indices reached, in preorder; and for each index i
+    reached, its place disc[i] in order and the end of its subtree,
+    order[disc[i]:end[i]].  The graph is connected iff order has every
+    index."""
     adj = p._adj
-    disc, low = [0] + [-1] * (len(adj) - 1), [0] * len(adj)
-    timer = count(1)
-    edge_stack, blocks = [], []
+    disc, low, end = [0] + [-1] * (len(adj) - 1), [0] * len(adj), [0] * len(adj)
+    order, edge_stack, blocks = [0], [], []
     # frame: vertex, parent, neighbours left, edge-stack index of its tree edge
     stack = [(0, -1, iter(adj[0]), 0)]
     while stack:
@@ -231,37 +228,47 @@ def _block_search(p):
             if disc[w] < 0:
                 stack.append((w, v, iter(adj[w]), len(edge_stack)))
                 edge_stack.append((v, w))
-                disc[w] = low[w] = next(timer)
+                disc[w] = low[w] = len(order)
+                order.append(w)
                 break
             if disc[w] < disc[v]:
                 edge_stack.append((v, w))
                 low[v] = min(low[v], disc[w])
         else:
             stack.pop()
+            end[v] = len(order)
             if stack:
                 u = stack[-1][0]
                 low[u] = min(low[u], low[v])
                 if low[v] >= disc[u]:
                     blocks.append(edge_stack[mark:])
                     del edge_stack[mark:]
-    return blocks
+    return blocks, order, disc, end
 
 
 def _cover_graph_data(p):
-    """From one _block_search(p) per poset: the blocks of more than one
-    edge, each a canonically sorted tuple of its edges, ordered by their
-    first edge, and the extreme pairs as a dict with value None, in
-    canonical order."""
+    """From one _block_search(p) per poset: (cycle_blocks, extreme, order,
+    disc).  cycle_blocks are the blocks of more than one edge, each a
+    canonically sorted tuple of its edges, ordered by their first edge;
+    order is the search's preorder, as labels, and disc[i] the place of
+    element i in it.  extreme maps each extreme pair (x, y), in canonical
+    order, to (sign, lo, hi): the deeper end's subtree is order[lo:hi], and
+    the sign, seen from element 0, is +1 iff that end is y."""
     def compute(q):
         el, upper = q.elements, q._upper
+        blocks, order, disc, end = _block_search(q)
         cycle_blocks = tuple(tuple((el[a], el[b]) for a, b in block) for block in sorted(
             sorted((a, b) if b in upper[a] else (b, a) for a, b in block)
-            for block in _block_search(q) if len(block) > 1))
+            for block in blocks if len(block) > 1))
         on_cycle = {e for b in cycle_blocks for e in b}
         mins, maxs = set(q._mins), set(q._maxs)
-        return (cycle_blocks,
-                dict.fromkeys(e for e in q.covers if e not in on_cycle
-                              and e[0] in mins and e[1] in maxs))
+        extreme = {}
+        for e in q.covers:
+            if e not in on_cycle and e[0] in mins and e[1] in maxs:
+                i, j = q._idx[e[0]], q._idx[e[1]]
+                sgn, deeper = (1, j) if disc[j] > disc[i] else (-1, i)
+                extreme[e] = (sgn, disc[deeper], end[deeper])
+        return cycle_blocks, extreme, tuple(map(el.__getitem__, order)), disc
     return p.memo("blocks_and_bridges", compute)
 
 
@@ -358,40 +365,24 @@ def is_extreme_pair(p, pair):
     return pair in _cover_graph_data(p)[1]
 
 
-def bridge_sides(p, u0):
-    """The side sets of every extreme pair seen from u0, from one search.
+def bridge_side(p, u0, pair):
+    """sign_and_vset(p, u0, pair) with the far side a sequence of labels.
 
-    Returns (order, sides): order is a depth-first preorder of the cover
-    graph from u0, and sides maps each extreme pair (x, y) to (sign, lo, hi)
-    with far-side set order[lo:hi].  A bridge is an edge of every spanning
-    tree, so removing it leaves the subtree of its deeper endpoint as the
-    component away from u0, and a preorder lists each subtree contiguously;
-    the sign is +1 iff the deeper endpoint is y, that is, u0 lies on x's
-    side.  Computed once per poset and base point in O(n + E), kept in
-    O(n) space.
+    A bridge is an edge of every spanning tree, so removing it leaves the
+    subtree of its deeper end in the one search from element 0 as one
+    component, and a preorder lists each subtree contiguously: the far side
+    is that subtree, or, with the sign flipped, its complement when u0 lies
+    inside it (see _cover_graph_data).
     """
-    p.index(u0)
-
-    def compute(q):
-        order, start, end = [u0], {u0: 0}, {}
-        stack = [(u0, iter(q.adjacency[u0]))]
-        while stack:
-            v, nbrs = stack[-1]
-            for w in nbrs:
-                if w not in start:
-                    start[w] = len(order)
-                    order.append(w)
-                    stack.append((w, iter(q.adjacency[w])))
-                    break
-            else:
-                stack.pop()
-                end[v] = len(order)
-        sides = {}
-        for x, y in _cover_graph_data(q)[1]:
-            sgn, deeper = (1, y) if start[y] > start[x] else (-1, x)
-            sides[(x, y)] = (sgn, start[deeper], end[deeper])
-        return tuple(order), sides
-    return p.memo(("bridge_sides", u0), compute)
+    _, extreme, order, disc = _cover_graph_data(p)
+    at = disc[p.index(u0)]
+    try:
+        sgn, lo, hi = extreme[pair]
+    except (KeyError, TypeError):
+        raise NotExtreme("%r is not an extreme pair" % (pair,))
+    if lo <= at < hi:
+        return -sgn, order[:lo] + order[hi:]
+    return sgn, order[lo:hi]
 
 
 def sign_and_vset(p, u0, pair):
@@ -399,11 +390,7 @@ def sign_and_vset(p, u0, pair):
 
     Removing the bridge (x, y) splits the cover graph in two; the sign is +1
     iff u0 lands on x's side, and V is the component not containing u0
-    (read from bridge_sides).
+    (read from bridge_side).
     """
-    order, sides = bridge_sides(p, u0)
-    try:
-        sgn, lo, hi = sides[pair]
-    except (KeyError, TypeError):
-        raise NotExtreme("%r is not an extreme pair" % (pair,))
-    return sgn, frozenset(order[lo:hi])
+    sgn, side = bridge_side(p, u0, pair)
+    return sgn, frozenset(side)

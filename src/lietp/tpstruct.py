@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import algebra, halfder
 from .errors import (NotTransposedPoisson, OwnerMismatch, ParseError,
                      ReconstructionMismatch, UnknownElement)
-from .poset import bridge_sides, extreme_pairs, is_extreme_pair, sign_and_vset
+from .poset import bridge_side, extreme_pairs, is_extreme_pair, sign_and_vset
 
 NuElement = halfder.CentralElement
 
@@ -90,14 +90,10 @@ def tp_from_table(p, entries):
             val = algebra.element(p, val)
         if val.owner is not p:
             raise OwnerMismatch("product entry belongs to a different poset")
-        key = _table_key(i, j)
-        if key in table:
-            if table[key] != val:
-                raise ValueError("conflicting values for a product and its transpose")
-            continue
-        if not val.is_zero():
-            table[key] = val
-    return TPProduct(p, table)
+        if table.setdefault(_table_key(i, j), val) != val:
+            raise ValueError("conflicting values for a product and its transpose")
+    return TPProduct(p, {key: val for key, val in table.items()
+                         if not val.is_zero()})
 
 
 def zero_product(p):
@@ -180,13 +176,12 @@ def _associative(p, mu, lam, u0):
                 return False
     if not ends:
         return True
-    order, sides = bridge_sides(p, u0)
     A = {b: {(a, c): v * rc for a, v in cols.get(b, {}).items()
              for c, rc in r.items()} for b in ends}
     for (x, y), q in lam.items():
-        sgn, lo, hi = sides[(x, y)]
+        sgn, side = bridge_side(p, u0, (x, y))
         m = {}
-        for v in order[lo:hi]:
+        for v in side:
             algebra.add_scaled(m, cols.get(v, {}))
         for b in (x, y):        # w_e d_e(a) d_e(b) is sgn q if a == b
             for a in (x, y):
@@ -246,10 +241,10 @@ class LambdaMap(algebra.RationalMap):
 
 def _lambda_entries(p, values, u0, entries):
     pidx = p.pair_index
-    order, sides = bridge_sides(p, u0)
+    p.index(u0)     # an unknown u0 raises with no weights too
     for (x, y), q in values.items():
-        sgn, lo, hi = sides[(x, y)]
-        side = [pidx[(v, v)] for v in order[lo:hi]]
+        sgn, far = bridge_side(p, u0, (x, y))
+        side = [pidx[(v, v)] for v in far]
         kxy = pidx[(x, y)]
         dx, dy = pidx[(x, x)], pidx[(y, y)]
         _accumulate(entries, _table_key(dx, kxy), {kxy: q})

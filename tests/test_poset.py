@@ -48,6 +48,16 @@ def test_build_rejects_too_small():
 def test_build_rejects_disconnected():
     with pytest.raises(NotConnected):
         build_poset(["1", "2", "3", "4"], [("1", "2"), ("3", "4")])
+    # the block search runs from element 0: isolated, in the smaller
+    # component and in the larger one
+    labels = ["1", "2", "3", "4", "5"]
+    for covers in ([("2", "3"), ("3", "4"), ("2", "5")],
+                   [("1", "2"), ("3", "4"), ("4", "5")],
+                   [("1", "2"), ("2", "3"), ("4", "5")]):
+        with pytest.raises(NotConnected):
+            build_poset(labels, covers)
+        with pytest.raises(NotConnected):
+            build_poset(labels[::-1], covers)
 
 
 def test_build_rejects_cycle_in_order():
@@ -367,14 +377,16 @@ def test_side_sets_match_component_search(data_dir):
     seen = 0
     for p in posets:
         bases = p.elements if len(p.elements) <= 40 else p.elements[::9]
+        pairs = extreme_pairs(p)
+        keys = set(p._memo)
         for u0 in bases:
-            order, sides = poset.bridge_sides(p, u0)
-            assert sorted(order) == sorted(p.elements)
-            assert list(sides) == extreme_pairs(p)
-            for pair in extreme_pairs(p):
+            for pair in pairs:
                 got = sign_and_vset(p, u0, pair)
                 assert got == _reference_sign_and_vset(p, u0, pair)
+                assert len(poset.bridge_side(p, u0, pair)[1]) == len(got[1])
                 seen += 1
+        # every base point reads the one search from element 0
+        assert set(p._memo) == keys
     assert seen > 4000
 
 

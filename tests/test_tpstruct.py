@@ -371,6 +371,19 @@ def test_tp_from_table_rejects_transpose_conflicts(chain2):
         tp_from_table(chain2, entries)
 
 
+def test_tp_from_table_compares_zero_values_too(chain2):
+    # a zero product conflicts with a nonzero transpose in either order
+    e1, e2 = ("1", "1"), ("2", "2")
+    zero, e12 = element(chain2, {}), element(chain2, {("1", "2"): 1})
+    for entries in ({(e1, e2): zero, (e2, e1): e12},
+                    {(e2, e1): e12, (e1, e2): zero}):
+        with pytest.raises(ValueError, match="conflicting values"):
+            tp_from_table(chain2, entries)
+    agreed = tp_from_table(chain2, {(e1, e2): {}, (e2, e1): zero, (e1, e1): e12})
+    assert agreed == tp_from_table(chain2, {(e1, e1): e12})
+    assert list(agreed.table) == [(0, 0)]
+
+
 def test_product_is_symmetric_and_bilinear(vee):
     prod = mutational(NuElement(vee, {("1", "2"): 2, ("1", "3"): 5}))
     f = element(vee, {("1", "1"): 2, ("2", "2"): Fraction(1, 2)})
@@ -834,3 +847,16 @@ def test_transport_refuses_a_pair_that_is_not_comparable(chain2):
     prod = mutational(NuElement(chain2, {("1", "2"): 1}))
     with pytest.raises(UnknownElement, match=r"\('2', '1'\)"):
         transport_product(prod, {("2", "1"): 2})
+
+
+def test_unknown_base_point_is_refused_without_lambda(vee):
+    # with no lambda weight nothing reads the side sets, yet u0 is checked
+    empty = LambdaMap(vee, {})
+    with pytest.raises(UnknownElement):
+        lambda_structure(empty, "nope")
+    dec = TPDecomposition(MuMap(vee, {("1", "1"): 1}),
+                          NuElement(vee, {("1", "2"): 1}), empty, "nope")
+    with pytest.raises(UnknownElement):
+        dec.reconstruct()
+    with pytest.raises(UnknownElement):
+        sign_and_vset(vee, "nope", extreme_pairs(vee)[0])
