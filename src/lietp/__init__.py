@@ -4,11 +4,11 @@ on Lie incidence algebras of finite connected posets."""
 from .algebra import (IncidenceElement, commutator, diag_unit, element,
                       from_records, identity, minmax_pairs, multiply,
                       to_records, unit, zero)
-from .errors import (CapExceeded, CycleInOrder, LietpError,
-                     NotCentralInCommutator, NotConnected, NotExtreme,
-                     NotHalfDerivation, NotTransposedPoisson, OwnerMismatch,
-                     ParseError, ReconstructionMismatch, RedundantCover,
-                     TooLarge, TooSmall, UnknownElement)
+from .errors import (CycleInOrder, LietpError, NotCentralInCommutator,
+                     NotConnected, NotExtreme, NotHalfDerivation,
+                     NotTransposedPoisson, OwnerMismatch, ParseError,
+                     ReconstructionMismatch, RedundantCover, TooLarge,
+                     TooSmall, UnknownElement)
 from .halfder import (CentralElement, HalfDerDecomposition, KappaMap,
                       LinearOperator, SigmaMap, central_valued, decompose,
                       decomposition_report, half_derivation_space, inner,

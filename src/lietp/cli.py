@@ -11,9 +11,10 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import algebra, halfder, poset, tpstruct
-from .errors import CapExceeded, LietpError, ParseError, TooLarge
+from .errors import LietpError, ParseError, TooLarge
 
 
 def _read(path):
@@ -133,15 +134,19 @@ def _resolve_u0(p, flag, data=None):
     return u0
 
 
+# What one process computes: analyze counts up to CYCLE_LIMIT cycles, and
+# halfder --oracle solves up to LIETP_ORACLE_CAP unknowns (default ORACLE_CAP).
+CYCLE_LIMIT = 10000
+ORACLE_CAP = 20000
+
+
 def cmd_analyze(args):
     p = poset.parse_poset(_read(args.poset))
     u0 = _resolve_u0(p, args.u0)
     part = poset.pair_classes(p)
     _blocks, bridges = poset.blocks_and_bridges(p)
-    try:
-        cycle_count = len(poset.enumerate_cycles(p))
-    except CapExceeded:
-        cycle_count = None
+    cycle_count = sum(
+        1 for _ in islice(poset.enumerate_cycles(p), CYCLE_LIMIT + 1))
     mm = algebra.minmax_pairs(p)
     report = {
         "command": "analyze",
@@ -149,7 +154,7 @@ def cmd_analyze(args):
         "u0": u0,
         "bridges": [{"from": a, "to": b}
                     for a, b in sorted(bridges, key=p.pair_key)],
-        "cycle_count": cycle_count,
+        "cycle_count": cycle_count if cycle_count <= CYCLE_LIMIT else None,
         "extreme_pairs": [
             {"from": x, "to": y, "sign": sgn,
              "side": sorted(vset, key=p.index)}
@@ -186,11 +191,13 @@ def cmd_halfder(args):
     ok = True
     if args.oracle:
         try:
-            cap = int(os.environ.get("LIETP_ORACLE_CAP",
-                                     halfder.DEFAULT_ORACLE_CAP))
+            cap = int(os.environ.get("LIETP_ORACLE_CAP", ORACLE_CAP))
         except ValueError as exc:
             raise ParseError("bad LIETP_ORACLE_CAP: %s" % exc)
-        basis = halfder.half_derivation_space(p, cap=cap)
+        n = len(p.pairs) ** 2
+        if n > cap:
+            raise TooLarge("system has %d unknowns, cap is %d" % (n, cap))
+        basis = halfder.half_derivation_space(p)
         verdict = "EQUAL" if len(basis) == structural_dim else "UNEQUAL"
         report["oracle"] = {"dimension": len(basis), "verdict": verdict}
         ok = verdict == "EQUAL"

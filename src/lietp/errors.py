@@ -25,10 +25,6 @@ class TooSmall(LietpError):
     """Posets with fewer than 2 elements are rejected."""
 
 
-class CapExceeded(LietpError):
-    """A brute-force enumeration grew past its configured cap."""
-
-
 class NotExtreme(LietpError):
     pass
 
@@ -42,8 +38,9 @@ class UnknownElement(LietpError):
 
 
 class TooLarge(LietpError):
-    """A size past a limit: a linear system beyond the configured oracle
-    cap, or a result value too long to print as a decimal string."""
+    """A size past a command-line limit: an oracle system of more
+    unknowns than LIETP_ORACLE_CAP, or a result value too long to print
+    as a decimal string."""
 
 
 class NotHalfDerivation(LietpError):

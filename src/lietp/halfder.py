@@ -16,11 +16,8 @@ from math import gcd
 
 from . import algebra
 from .errors import (NotCentralInCommutator, NotHalfDerivation,
-                     OwnerMismatch, ReconstructionMismatch, TooLarge,
-                     UnknownElement)
+                     OwnerMismatch, ReconstructionMismatch, UnknownElement)
 from .poset import pair_classes
-
-DEFAULT_ORACLE_CAP = 5000
 
 
 class LinearOperator(object):
@@ -464,18 +461,18 @@ def _solve(p, operators, weight):
     return basis
 
 
-def half_derivation_space(p, cap=DEFAULT_ORACLE_CAP):
+def half_derivation_space(p):
     """Basis of all half-derivations, by brute-force exact nullspace.
 
     Unknowns are all matrix entries of a candidate operator, u = k * B + m
     for the entry phi(b_k)_m, of weight deg b_m - deg b_k; the system is
-    solved by _solve.  The cap counts all B**2 unknowns.  The weights are
-    kept as integers: eps_x is 8**index(x), and a weight's coefficients lie
-    in [-2, 2], so distinct weights stay distinct.
+    solved by _solve, which visits every basis pair whatever the weight
+    blocks, so the work grows with all B**2 unknowns; `lietp halfder
+    --oracle` limits their number.  The weights are kept as integers: eps_x
+    is 8**index(x), and a weight's coefficients lie in [-2, 2], so distinct
+    weights stay distinct.
     """
     B = len(p.pairs)
-    if B * B > cap:
-        raise TooLarge("system has %d unknowns, cap is %d" % (B * B, cap))
     deg = [8 ** p.index(x) - 8 ** p.index(y) for x, y in p.pairs]
     ops = []
     for vec in _solve(p, [[range(k * B, k * B + B) for k in range(B)]],

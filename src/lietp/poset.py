@@ -9,8 +9,8 @@ Conventions used across the package:
 
 from itertools import accumulate, repeat
 
-from .errors import (CapExceeded, CycleInOrder, NotConnected, NotExtreme,
-                     ParseError, RedundantCover, TooSmall, UnknownElement)
+from .errors import (CycleInOrder, NotConnected, NotExtreme, ParseError,
+                     RedundantCover, TooSmall, UnknownElement)
 
 
 class Poset(object):
@@ -175,19 +175,18 @@ def min_max(p):
     return list(p._mins), list(p._maxs)
 
 
-def enumerate_cycles(p, cap=10000):
-    """All simple cycles of the cover graph, each as a closed tuple of
-    vertices (its first vertex repeated at the end).
+def enumerate_cycles(p):
+    """Yield every simple cycle of the cover graph, each as a closed tuple
+    of vertices (its first vertex repeated at the end).
 
-    `lietp analyze` counts cycles with it.  The search is exponential in
-    general: it raises CapExceeded past `cap` cycles, but the paths it
-    explores are not capped, and on a random poset with 80 elements and
-    110 covers it does not finish within 60 s (ROADMAP item 4).  Each
-    cycle is reported once, starting at its smallest vertex, in the
-    direction whose second vertex is smaller than its last.
+    `lietp analyze` counts cycles with it, up to a limit of its own.  The
+    search is exponential in general: the paths it explores are not
+    bounded by the cycles it yields, and on a random poset with 80
+    elements and 110 covers it does not finish within 60 s (ROADMAP
+    item 4).  Each cycle is yielded once, starting at its smallest vertex,
+    in the direction whose second vertex is smaller than its last.
     """
     idx = p.index
-    cycles = []
     for s in p.elements:
         si = idx(s)
         # depth-first paths s, v1, ..., vk with idx(vj) > si throughout
@@ -197,14 +196,11 @@ def enumerate_cycles(p, cap=10000):
             for w in reversed(p.adjacency[v]):
                 if w == s and len(path) >= 3:
                     if idx(path[1]) < idx(path[-1]):
-                        if len(cycles) >= cap:
-                            raise CapExceeded("more than %d cycles" % cap)
                         # cover graphs carry no triangles
                         assert len(path) >= 4
-                        cycles.append(tuple(path) + (s,))
+                        yield tuple(path) + (s,)
                 elif idx(w) > si and w not in onpath:
                     stack.append((w, path + [w], onpath | {w}))
-    return cycles
 
 
 def _block_search(p):

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from lietp import algebra, poset, tpstruct
-from lietp.errors import LietpError, TooLarge
+from lietp.errors import LietpError
 from lietp.halfder import (CentralElement, KappaMap, LinearOperator, SigmaMap,
                            _normalize_int_row, _solve, central_valued, inner,
                            phi_sigma, unit_brackets)
@@ -691,13 +691,11 @@ def reference_eliminate(pivots, row):
     return False
 
 
-def reference_half_derivation_space(p, cap=5000):
+def reference_half_derivation_space(p):
     """halfder.half_derivation_space as it stood before it split by weight
     and reduced rows in place: every equation row reduced against one pivot
     set, every free unknown back-substituted against all pivots."""
     B = len(p.pairs)
-    if B * B > cap:
-        raise TooLarge("system has %d unknowns, cap is %d" % (B * B, cap))
     by_left, _ = p.memo("unit_brackets", unit_brackets)
     pivots = {}
     for i in range(B):

@@ -87,6 +87,42 @@ def test_halfder_oracle_cap_env(capsys, data_dir, monkeypatch):
     assert rep["error"]["type"] == "TooLarge"
 
 
+def _write_poset(path, labels, covers):
+    path.write_text("elements: %s\n" % " ".join(labels)
+                    + "".join("%s < %s\n" % c for c in covers))
+    return str(path)
+
+
+def test_halfder_oracle_default_cap(capsys, tmp_path):
+    # the default cap admits B**2 <= 20000 unknowns: a 16-chain has B = 136
+    # comparable pairs, a 17-chain B = 153
+    def chain_file(n):
+        labels = ["c%d" % i for i in range(n)]
+        return _write_poset(tmp_path / ("chain%d.poset" % n), labels,
+                            zip(labels, labels[1:]))
+
+    rc, rep = run_cli(capsys, "halfder", chain_file(16), "--oracle")
+    assert rc == 0
+    assert rep["oracle"] == {"dimension": 18, "verdict": "EQUAL"}
+    rc, rep = run_cli(capsys, "halfder", chain_file(17), "--oracle")
+    assert rc == 1
+    assert rep["error"] == {
+        "type": "TooLarge", "detail": "system has 23409 unknowns, cap is 20000"}
+
+
+def test_analyze_cycle_count_limit(capsys, tmp_path):
+    # the complete bipartite cover graph K_{k,k} has 3940 simple cycles at
+    # k = 5, and more than the 10,000 that analyze counts at k = 6
+    for k, expected in ((5, 3940), (6, None)):
+        below = ["a%d" % i for i in range(k)]
+        above = ["b%d" % i for i in range(k)]
+        path = _write_poset(tmp_path / ("k%d.poset" % k), below + above,
+                            [(a, b) for a in below for b in above])
+        rc, rep = run_cli(capsys, "analyze", path)
+        assert rc == 0
+        assert rep["cycle_count"] == expected
+
+
 def test_decompose_frozen(capsys, data_dir):
     rc, rep = run_cli(capsys, "decompose",
                       str(data_dir / "twochains5.poset"),

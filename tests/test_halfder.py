@@ -15,7 +15,7 @@ from helpers import (Walk, apply, chain, corrupted, crown, full_catalog,
 from lietp import halfder, tpstruct
 from lietp.algebra import (commutator, diag_unit, element, identity,
                            minmax_pairs, unit)
-from lietp.errors import NotCentralInCommutator, NotHalfDerivation, TooLarge
+from lietp.errors import NotCentralInCommutator, NotHalfDerivation
 from lietp.halfder import (CentralElement, KappaMap, LinearOperator,
                            SigmaMap, central_valued, decompose,
                            decomposition_report, half_derivation_space, inner,
@@ -281,11 +281,6 @@ def test_oracle_dimensions_frozen(chain3, vee, crown):
     assert len(half_derivation_space(crown)) == 9
 
 
-def test_oracle_cap(crown):
-    with pytest.raises(TooLarge):
-        half_derivation_space(crown, cap=10)
-
-
 def test_oracle_basis_decomposes_and_rebuilds(vee, crown):
     for p in (vee, crown):
         for op in half_derivation_space(p):
@@ -303,9 +298,8 @@ def test_oracle_matches_reference_solver():
                                         dense=rng.random() < 0.5)
                  for _ in range(12)])
     for p in posets:
-        cap = len(p.pairs) ** 2
-        assert (half_derivation_space(p, cap=cap)
-                == reference_half_derivation_space(p, cap=cap)), p.covers
+        assert (half_derivation_space(p)
+                == reference_half_derivation_space(p)), p.covers
 
 
 def test_eliminate_matches_reference_on_random_rows():

@@ -10,9 +10,8 @@ from helpers import (Walk, brute_extreme_pairs, brute_pair_classes, chain,
                      random_connected_poset, reference_blocks,
                      reference_closure, reference_pair_classes, walk_between)
 from lietp import algebra, poset, tpstruct
-from lietp.errors import (CapExceeded, CycleInOrder, NotConnected, NotExtreme,
-                          ParseError, RedundantCover, TooSmall,
-                          UnknownElement)
+from lietp.errors import (CycleInOrder, NotConnected, NotExtreme, ParseError,
+                          RedundantCover, TooSmall, UnknownElement)
 from lietp.halfder import (half_derivation_space, is_half_derivation,
                            unit_brackets)
 from lietp.poset import (blocks_and_bridges, build_poset, closure,
@@ -172,12 +171,26 @@ def test_walk_compose_inverse_cycle(crown):
 
 
 def test_enumerate_cycles(crown, chain5, branch4):
-    cycles = enumerate_cycles(crown)
-    assert cycles == [("1", "3", "2", "4", "1")]
-    assert enumerate_cycles(chain5) == []
-    assert enumerate_cycles(branch4) == []
-    with pytest.raises(CapExceeded):
-        enumerate_cycles(crown, cap=0)
+    assert list(enumerate_cycles(crown)) == [("1", "3", "2", "4", "1")]
+    assert list(enumerate_cycles(chain5)) == []
+    assert list(enumerate_cycles(branch4)) == []
+
+
+def test_enumerate_cycles_against_networkx():
+    # the oracle behind brute_extreme_pairs and brute_pair_classes, checked
+    # by an independent cycle search on the undirected cover graph
+    rng = random.Random(20261019)
+    posets = list(full_catalog()) + [
+        random_connected_poset(rng, rng.randint(6, 12),
+                               dense=rng.random() < 0.5)
+        for _ in range(60)]
+    for p in posets:
+        ours = [frozenset(map(frozenset, zip(c, c[1:])))
+                for c in enumerate_cycles(p)]
+        theirs = {frozenset(map(frozenset, zip(c, c[1:] + c[:1])))
+                  for c in nx.simple_cycles(nx.Graph(list(p.covers)))}
+        assert len(ours) == len(set(ours)) == len(theirs), p.covers
+        assert set(ours) == theirs, p.covers
 
 
 def test_blocks_and_bridges_frozen(vee, crown, twochains):
@@ -341,7 +354,7 @@ def test_combinatorics_computed_once_per_poset(monkeypatch, data_dir):
         for _ in range(2):
             pair_classes(p)
             blocks_and_bridges(p)
-            enumerate_cycles(p)
+            list(enumerate_cycles(p))
             algebra.minmax_pairs(p)
             pairs = extreme_pairs(p)
             for u0 in p.elements:
