@@ -9,7 +9,6 @@ argparse's usage text instead.
 
 import argparse
 import json
-import os
 import sys
 from itertools import islice
 
@@ -135,7 +134,7 @@ def _resolve_u0(p, flag, data=None):
 
 
 # What one process computes: analyze counts up to CYCLE_LIMIT cycles, and
-# halfder --oracle solves up to LIETP_ORACLE_CAP unknowns (default ORACLE_CAP).
+# halfder --oracle solves up to ORACLE_CAP unknowns.
 CYCLE_LIMIT = 10000
 ORACLE_CAP = 20000
 
@@ -190,13 +189,10 @@ def cmd_halfder(args):
     }
     ok = True
     if args.oracle:
-        try:
-            cap = int(os.environ.get("LIETP_ORACLE_CAP", ORACLE_CAP))
-        except ValueError as exc:
-            raise ParseError("bad LIETP_ORACLE_CAP: %s" % exc)
         n = len(p.pairs) ** 2
-        if n > cap:
-            raise TooLarge("system has %d unknowns, cap is %d" % (n, cap))
+        if n > ORACLE_CAP:
+            raise TooLarge("system has %d unknowns, cap is %d"
+                           % (n, ORACLE_CAP))
         basis = halfder.half_derivation_space(p)
         verdict = "EQUAL" if len(basis) == structural_dim else "UNEQUAL"
         report["oracle"] = {"dimension": len(basis), "verdict": verdict}
@@ -246,11 +242,11 @@ def cmd_tp(args):
                        "decomposition": _decomposition_payload(dec),
                        "reconstruction": "ok"})
         return report, True
-    # normalize: rescale nu to an indicator and report the automorphism
+    # normalize: rescale nu to an indicator, report the automorphism, and
+    # judge the rescaled table with the certificate that build runs
     dec = _decomposition_from_data(p, data, u0)
     norm, scales = tpstruct.normalize_nu(dec)
-    transported = tpstruct.transport_product(dec.reconstruct(), scales)
-    consistent = transported == norm.reconstruct()
+    consistent = tpstruct.tp_passes(tpstruct.verify_tp(norm.reconstruct()))
     report.update({
         "u0": u0,
         "decomposition": _decomposition_payload(norm),

@@ -39,8 +39,8 @@ class UnknownElement(LietpError):
 
 class TooLarge(LietpError):
     """A size past a command-line limit: an oracle system of more
-    unknowns than LIETP_ORACLE_CAP, or a result value too long to print
-    as a decimal string."""
+    unknowns than the CLI's ORACLE_CAP, or a result value too long to
+    print as a decimal string."""
 
 
 class NotHalfDerivation(LietpError):

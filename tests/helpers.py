@@ -112,6 +112,15 @@ def full_catalog():
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def reversed_catalog():
+    """full_catalog() with each element list reversed.  Every cover then
+    runs from a later element to an earlier one, so no input order is a
+    linear extension, and a table keys e_x . e_xy as (e_xy, e_x)."""
+    return tuple(build_poset(p.elements[::-1], list(p.covers))
+                 for p in full_catalog())
+
+
 def random_connected_poset(rng, n, dense=False):
     """Seeded connected poset on labels 1..n from n-1 to 2n random
     comparabilities, or with dense=True from n to n(n-1)/2 of them."""

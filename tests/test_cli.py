@@ -79,14 +79,6 @@ def test_halfder_oracle_agreement(capsys, data_dir):
     assert rep["oracle"] == {"dimension": 7, "verdict": "EQUAL"}
 
 
-def test_halfder_oracle_cap_env(capsys, data_dir, monkeypatch):
-    monkeypatch.setenv("LIETP_ORACLE_CAP", "2")
-    rc, rep = run_cli(capsys, "halfder", str(data_dir / "vee.poset"),
-                      "--oracle")
-    assert rc == 1
-    assert rep["error"]["type"] == "TooLarge"
-
-
 def _write_poset(path, labels, covers):
     path.write_text("elements: %s\n" % " ".join(labels)
                     + "".join("%s < %s\n" % c for c in covers))
@@ -94,7 +86,7 @@ def _write_poset(path, labels, covers):
 
 
 def test_halfder_oracle_default_cap(capsys, tmp_path):
-    # the default cap admits B**2 <= 20000 unknowns: a 16-chain has B = 136
+    # the cap admits B**2 <= 20000 unknowns: a 16-chain has B = 136
     # comparable pairs, a 17-chain B = 153
     def chain_file(n):
         labels = ["c%d" % i for i in range(n)]
@@ -434,17 +426,6 @@ def test_input_files_must_be_utf8(capsys, data_dir, tmp_path):
         err = _rejected(capsys, *argv)
         assert err["type"] == "ParseError"
         assert err["detail"].startswith("cannot read %s: " % path)
-
-
-def test_halfder_rejects_a_non_integer_oracle_cap(capsys, data_dir,
-                                                  monkeypatch):
-    # used to escape as a ValueError
-    for cap in ("abc", "1.5", ""):
-        monkeypatch.setenv("LIETP_ORACLE_CAP", cap)
-        err = _rejected(capsys, "halfder", str(data_dir / "vee.poset"),
-                        "--oracle")
-        assert err["type"] == "ParseError"
-        assert err["detail"].startswith("bad LIETP_ORACLE_CAP: ")
 
 
 def test_poset_file_rejects_repeated_cover(capsys, tmp_path):

@@ -12,7 +12,11 @@ exact stdout.  The expected outputs were recorded from the code as it
 stood before the constructor layer was rewritten for speed, except for
 the failing-mu cases, recorded again when mu stopped being judged on its
 own: `build` now prints the table and a failing report where it printed
-an error, and `normalize`, which runs no verifier, exits 0.
+an error.  The `normalize` cases were recorded again when normalize began
+to judge the rescaled table with `build`'s certificate: the failing-mu
+files and three seeded files at their last base point (chain2-s1, en-s3,
+vee-s3), which are not transposed Poisson there, now exit 1 with
+`consistent: false`.
 
 `cli_decompose_pinned.json` holds, for every `data/` poset, seeded
 operators from `random_half_derivation` decomposed at every base point, a
@@ -73,6 +77,28 @@ def test_tp_stdout_matches_pinned_bytes(data_dir, tmp_path):
     for case in pin["cases"]:
         assert _invoke(case, data_dir, tmp_path) == (
             case["exit"], case["stdout"]), case["argv"]
+
+
+def test_tp_normalize_agrees_with_build(data_dir, tmp_path):
+    # normalize judges with build's certificate: on every pinned components
+    # file at every base point, normalize's (exit, consistent) is build's
+    # (exit, verdict)
+    from lietp import poset, tpstruct
+
+    pin = json.loads(PIN.read_text())
+    files = {c["argv"][2]: c["argv"][1] for c in pin["cases"]
+             if c["argv"][2].endswith("-components.json")}
+    assert len(files) == 4 * len(list(data_dir.glob("*.poset")))
+    for name, poset_name in sorted(files.items()):
+        (tmp_path / name).write_text(json.dumps(pin["inputs"][name]))
+        p = poset.parse_poset((data_dir / poset_name).read_text())
+        for u in p.elements:
+            argv = [poset_name, name, "--u0", u]
+            rc, out = _run(["tp", "build"], argv, data_dir, tmp_path)
+            verdict = tpstruct.tp_passes(json.loads(out)["verify"])
+            rc_norm, out = _run(["tp", "normalize"], argv, data_dir, tmp_path)
+            assert (rc_norm, json.loads(out)["consistent"]) == (
+                rc, verdict), argv
 
 
 def test_decompose_stdout_matches_pinned_bytes(data_dir, tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from helpers import (Walk, brute_extreme_pairs, brute_pair_classes, chain,
                      component_without_edge, data_catalog, full_catalog,
                      random_connected_poset, reference_blocks,
-                     reference_closure, reference_pair_classes, walk_between)
+                     reference_closure, reference_pair_classes,
+                     reversed_catalog, walk_between)
 from lietp import algebra, poset, tpstruct
 from lietp.errors import (CycleInOrder, NotConnected, NotExtreme, ParseError,
                           RedundantCover, TooSmall, UnknownElement)
@@ -253,12 +254,13 @@ def test_walk_between(chain3, crown):
 
 
 def test_extreme_pairs_against_cycle_definition_on_catalog():
-    for p in full_catalog():
+    # the catalog in its linear-extension order and reversed
+    for p in full_catalog() + reversed_catalog():
         assert extreme_pairs(p) == brute_extreme_pairs(p)
 
 
 def test_pair_classes_against_cycle_definition_on_catalog():
-    for p in full_catalog():
+    for p in full_catalog() + reversed_catalog():
         assert pair_classes(p).classes == brute_pair_classes(p)
 
 
@@ -384,7 +386,8 @@ def _reference_sign_and_vset(p, u0, pair):
 
 def test_side_sets_match_component_search(data_dir):
     rng = random.Random(6)
-    posets = list(full_catalog()) + list(data_catalog(data_dir).values())
+    posets = (list(full_catalog()) + list(reversed_catalog())
+              + list(data_catalog(data_dir).values()))
     posets += [_fence(n) for n in (2, 3, 8, 33, 128)]
     posets += [random_connected_poset(rng, rng.randint(6, 40)) for _ in range(40)]
     seen = 0

@@ -12,7 +12,8 @@ from helpers import (MU_KINDS, BruteForce, chain, corrupted, data_catalog,
                      random_fraction, random_raw_mu, reference_assoc_condition,
                      reference_assoc_failure, reference_mu_condition,
                      reference_orthogonal, reference_poisson_type,
-                     reference_verify, same_components, tp_oracle_space)
+                     reference_verify, reversed_catalog, same_components,
+                     tp_oracle_space)
 from lietp import algebra, tpstruct
 from lietp.algebra import (commutator, diag_unit, element, identity,
                            minmax_pairs, unit)
@@ -460,8 +461,9 @@ def test_verify_rejects_every_one_coefficient_corruption():
 
 
 def test_verify_matches_brute_force_on_catalog():
+    # the catalog in its linear-extension order and reversed
     kinds = set()
-    for k, p in enumerate(CATALOG):
+    for k, p in enumerate(CATALOG + reversed_catalog()):
         rng = random.Random(k)
         good = random_tp(p, seed=k)
         tables = [good]
@@ -568,6 +570,17 @@ def test_certificate_is_exact_on_larger_random_posets():
 
     tables, tp = _check_corpus(corpus())
     assert tables == 318 and tp == 106
+
+
+def test_certificate_on_orders_that_are_not_linear_extensions():
+    # on the reversed catalog a table keys e_x . e_xy as (e_xy, e_x); the
+    # brute-force verifier judges its random_tp draws and their corrupted
+    # copies in test_verify_matches_brute_force_on_catalog
+    rng = random.Random(14)
+    tables, tp = _check_corpus(
+        (p, False, t, prod) for k, p in enumerate(reversed_catalog())
+        for t, prod in enumerate(_soundness_tables(p, rng, k)))
+    assert tables == 460 and tp == 145
 
 
 # --- the brute-force oracle of the paper's second theorem --------------------
