@@ -4,7 +4,8 @@ Subcommands: analyze, halfder, decompose, tp {build,verify,decompose,normalize},
 examples.  Every report is a JSON document on stdout, deterministic byte for
 byte across runs; the exit code is 0 exactly when every check in the report
 passed.  A bad command line gets an error report too; only --help prints
-argparse's usage text instead.
+argparse's usage text instead.  Each command imports only the library
+modules it runs, so that a process loads no code its command does not need.
 """
 
 import argparse
@@ -12,7 +13,6 @@ import json
 import sys
 from itertools import islice
 
-from . import algebra, halfder, poset, tpstruct
 from .errors import LietpError, ParseError, TooLarge
 
 
@@ -58,6 +58,7 @@ def _rows(what, rows, key, value):
 
 
 def _poset_summary(p):
+    from . import poset
     mins, maxs = poset.min_max(p)
     return {
         "size": len(p.elements),
@@ -69,6 +70,7 @@ def _poset_summary(p):
 
 
 def _table_payload(prod):
+    from . import algebra
     rows = []
     for (pr1, pr2), elem in prod.entries():
         rows.append({
@@ -91,6 +93,7 @@ def _product_key(row):
 
 
 def _product_from_data(p, data):
+    from . import algebra, tpstruct
     entries = _rows("table", data.get("table", []), _product_key,
                     lambda row: algebra.from_records(p, row["product"]))
     try:
@@ -100,6 +103,7 @@ def _product_from_data(p, data):
 
 
 def _decomposition_from_data(p, data, u0):
+    from . import algebra, tpstruct
     mu, nu, lam = (
         _rows(field, data.get(field, []), lambda row: (row["x"], row["y"]),
               lambda row: algebra.as_rational(row["value"]))
@@ -140,6 +144,7 @@ ORACLE_CAP = 20000
 
 
 def cmd_analyze(args):
+    from . import algebra, poset
     p = poset.parse_poset(_read(args.poset))
     u0 = _resolve_u0(p, args.u0)
     part = poset.pair_classes(p)
@@ -170,6 +175,7 @@ def cmd_analyze(args):
 
 
 def cmd_halfder(args):
+    from . import algebra, poset
     p = poset.parse_poset(_read(args.poset))
     part = poset.pair_classes(p)
     mm = algebra.minmax_pairs(p)
@@ -189,6 +195,7 @@ def cmd_halfder(args):
     }
     ok = True
     if args.oracle:
+        from . import halfder
         n = len(p.pairs) ** 2
         if n > ORACLE_CAP:
             raise TooLarge("system has %d unknowns, cap is %d"
@@ -201,6 +208,7 @@ def cmd_halfder(args):
 
 
 def cmd_decompose(args):
+    from . import algebra, halfder, poset
     p = poset.parse_poset(_read(args.poset))
     data = _load_json(args.operator)
     u0 = _resolve_u0(p, args.u0)
@@ -219,6 +227,7 @@ def cmd_decompose(args):
 
 
 def cmd_tp(args):
+    from . import poset, tpstruct
     p = poset.parse_poset(_read(args.poset))
     data = _load_json(args.data)
     u0 = _resolve_u0(p, args.u0, data)
@@ -259,7 +268,6 @@ def cmd_tp(args):
 
 
 def cmd_examples(args):
-    # imported here, so that only this command compiles the frozen tables
     from . import examples
     return examples._run_examples(), True
 

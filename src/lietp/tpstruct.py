@@ -34,27 +34,6 @@ class TPProduct(object):
         self.owner = owner
         self.table = table
 
-    def product(self, f, g):
-        """Bilinear extension of the table."""
-        if f.owner is not self.owner or g.owner is not self.owner:
-            raise OwnerMismatch("element does not belong to this product's poset")
-        acc = {}
-        for i, a in f.coeffs.items():
-            for j, b in g.coeffs.items():
-                elem = self.table.get(_table_key(i, j))
-                if elem is not None:
-                    algebra.add_scaled(acc, elem.coeffs, a * b)
-        return algebra.IncidenceElement(self.owner, acc)
-
-    def left_mult(self, pair):
-        """Multiplication by the basis vector of the given pair, as an operator."""
-        z = self.owner.pair_index[pair]
-        cols = []
-        for j in range(len(self.owner.pairs)):
-            elem = self.table.get(_table_key(z, j))
-            cols.append(dict(elem.coeffs) if elem is not None else {})
-        return halfder.LinearOperator(self.owner, cols)
-
     def is_zero(self):
         return not self.table
 
@@ -94,10 +73,6 @@ def tp_from_table(p, entries):
             raise ValueError("conflicting values for a product and its transpose")
     return TPProduct(p, {key: val for key, val in table.items()
                          if not val.is_zero()})
-
-
-def zero_product(p):
-    return TPProduct(p, {})
 
 
 def _accumulate(entries, key, coeffs):
@@ -688,9 +663,3 @@ def random_tp_components(p, seed):
     sides = [sign_and_vset(p, u0, pr)[1] for pr in lam.support()]
     mu = random_mu(p, rng, sides)
     return mu, NuElement(p, nu_vals), lam, u0
-
-
-def random_tp(p, seed):
-    """Seeded sum of the three constructor families at the default base point."""
-    mu, nu, lam, u0 = random_tp_components(p, seed)
-    return TPDecomposition(mu, nu, lam, u0).reconstruct()

@@ -488,6 +488,35 @@ def data_catalog(data_dir):
             for path in sorted(data_dir.glob("*.poset"))}
 
 
+# --- transposed Poisson products on elements --------------------------------
+
+def tp_product(prod, f, g):
+    """The bilinear extension of prod's table to the elements f and g."""
+    acc = {}
+    for i, a in f.coeffs.items():
+        for j, b in g.coeffs.items():
+            elem = prod.table.get(tpstruct._table_key(i, j))
+            if elem is not None:
+                algebra.add_scaled(acc, elem.coeffs, a * b)
+    return algebra.IncidenceElement(prod.owner, acc)
+
+
+def tp_left_mult(prod, pair):
+    """Multiplication by the basis vector of pair, as an operator."""
+    z = prod.owner.pair_index[pair]
+    cols = []
+    for j in range(len(prod.owner.pairs)):
+        elem = prod.table.get(tpstruct._table_key(z, j))
+        cols.append(dict(elem.coeffs) if elem is not None else {})
+    return LinearOperator(prod.owner, cols)
+
+
+def random_tp(p, seed):
+    """Seeded sum of the three constructor families at the default base point."""
+    mu, nu, lam, u0 = tpstruct.random_tp_components(p, seed)
+    return tpstruct.TPDecomposition(mu, nu, lam, u0).reconstruct()
+
+
 # --- brute-force transposed Poisson verifier ---------------------------------
 
 class BruteForce(object):
@@ -502,7 +531,8 @@ class BruteForce(object):
 
     def times(self, i, j):
         if (i, j) not in self._times:
-            self._times[(i, j)] = self.prod.product(self.units[i], self.units[j])
+            self._times[(i, j)] = tp_product(self.prod, self.units[i],
+                                             self.units[j])
         return self._times[(i, j)]
 
     def bracket(self, i, j):
@@ -515,11 +545,12 @@ class BruteForce(object):
         """(a.b).c = a.(b.c) for "associative", 2 z.[x,y] = [z.x, y] +
         [x, z.y] for "transposed_leibniz"."""
         a, b, c = triple
-        mult, u = self.prod.product, self.units
+        prod, u = self.prod, self.units
         if check == "associative":
-            return mult(self.times(a, b), u[c]) == mult(u[a], self.times(b, c))
+            return (tp_product(prod, self.times(a, b), u[c])
+                    == tp_product(prod, u[a], self.times(b, c)))
         comm = algebra.commutator
-        return (mult(u[a], self.bracket(b, c)).scale(2)
+        return (tp_product(prod, u[a], self.bracket(b, c)).scale(2)
                 == comm(self.times(a, b), u[c]) + comm(u[b], self.times(a, c)))
 
 
@@ -533,7 +564,7 @@ def reference_orthogonal(a, b):
             for j in range(i, B):
                 f = first.times(i, j)
                 if not f.is_zero() and any(
-                        not second.prod.product(f, u).is_zero()
+                        not tp_product(second.prod, f, u).is_zero()
                         for u in second.units):
                     return False
     return True

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (apply, chain, full_catalog, random_element,
-                     walk_between, walk_functionals)
+                     tp_product, walk_between, walk_functionals)
 from lietp.algebra import (add_scaled, commutator, diag_unit, element,
                            from_records, identity, minmax_pairs, multiply,
                            to_records, unit, zero)
@@ -181,13 +181,14 @@ def test_cancellation_stores_no_zeros(twochains, chain2):
     prod = tp_from_table(chain2, {
         (e1, e1): element(chain2, {e1: 1, e2: 2}),
         (e1, e12): element(chain2, {e1: -1, e12: 1})})
-    cancel = prod.product(unit(chain2, *e1), element(chain2, {e1: 1, e12: 1}))
+    cancel = tp_product(prod, unit(chain2, *e1),
+                        element(chain2, {e1: 1, e12: 1}))
     assert cancel.coeffs == {chain2.pair_index[e12]: 1,
                              chain2.pair_index[e2]: 2}
     prod = tp_from_table(chain2, {
         (e1, e1): unit(chain2, *e1), (e1, e12): unit(chain2, *e1).scale(-1)})
-    assert prod.product(unit(chain2, *e1),
-                        element(chain2, {e1: 1, e12: 1})).coeffs == {}
+    assert tp_product(prod, unit(chain2, *e1),
+                      element(chain2, {e1: 1, e12: 1})).coeffs == {}
 
 
 # --- one value rule: integers, Fractions or "p/q" strings --------------------
@@ -195,7 +196,8 @@ def test_cancellation_stores_no_zeros(twochains, chain2):
 def _transported(p, v):
     moved = transport_product(mutational(NuElement(p, {("1", "2"): 1})),
                               {("1", "2"): v})
-    return moved.product(diag_unit(p, "1"), diag_unit(p, "2")).coeff("1", "2")
+    return tp_product(moved, diag_unit(p, "1"),
+                      diag_unit(p, "2")).coeff("1", "2")
 
 
 VALUE_ENTRY_POINTS = {

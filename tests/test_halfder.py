@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from helpers import (Walk, apply, chain, corrupted, crown, full_catalog,
                      identity_operator, plus_one, random_admissible_sigma,
                      random_central, random_connected_poset, random_fraction,
-                     random_half_derivation, random_kappa,
+                     random_half_derivation, random_kappa, random_tp,
                      reference_eliminate, reference_half_derivation_space,
-                     reference_is_half_derivation, walk_between,
-                     walk_diag_value, walk_functionals)
+                     reference_is_half_derivation, tp_left_mult,
+                     walk_between, walk_diag_value, walk_functionals)
 from lietp import halfder, tpstruct
 from lietp.algebra import (commutator, diag_unit, element, identity,
                            minmax_pairs, unit)
@@ -99,10 +99,10 @@ def test_is_half_derivation_matches_reference_scan():
         for _ in range(2):
             good = random_half_derivation(p, rng)[0]
             ops += [good, plus_one(good, rng), _sparse_operator(p, rng)]
-        prod = tpstruct.random_tp(p, k)
+        prod = random_tp(p, k)
         tables = [prod, corrupted(prod, rng)] if prod.table else [prod]
         for table in tables:
-            mults = [table.left_mult(pair) for pair in p.pairs]
+            mults = [tp_left_mult(table, pair) for pair in p.pairs]
             ops += mults
             # verify_tp's sweep runs the same kernel over every left
             # multiplication at once: same verdict, and the same first

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import (Walk, brute_extreme_pairs, brute_pair_classes, chain,
                      component_without_edge, data_catalog, full_catalog,
-                     random_connected_poset, reference_blocks,
+                     random_connected_poset, random_tp, reference_blocks,
                      reference_closure, reference_pair_classes,
-                     reversed_catalog, walk_between)
+                     reversed_catalog, tp_left_mult, walk_between)
 from lietp import algebra, poset, tpstruct
 from lietp.errors import (CycleInOrder, NotConnected, NotExtreme, ParseError,
                           RedundantCover, TooSmall, UnknownElement)
@@ -352,7 +352,7 @@ def test_combinatorics_computed_once_per_poset(monkeypatch, data_dir):
     monkeypatch.setattr(poset, "_block_search", counted)
     posets = list(data_catalog(data_dir).values()) + [chain(6)]
     for p in posets:
-        prod = tpstruct.random_tp(p, 3)
+        prod = random_tp(p, 3)
         for _ in range(2):
             pair_classes(p)
             blocks_and_bridges(p)
@@ -422,10 +422,10 @@ def test_returned_values_do_not_alias_the_cache(zigzag):
     assert (extreme_pairs(p), pair_classes(p).classes, min_max(p),
             blocks_and_bridges(p), sign_and_vset(p, "1", ("1", "3"))) == before
     # the kernel's and the oracle's bracket table is not the one handed out
-    ok = is_half_derivation(tpstruct.random_tp(p, 1).left_mult(p.pairs[0]))
+    ok = is_half_derivation(tp_left_mult(random_tp(p, 1), p.pairs[0]))
     space = half_derivation_space(p)
     for rows in unit_brackets(p):
         rows.clear()
     assert is_half_derivation(
-        tpstruct.random_tp(p, 1).left_mult(p.pairs[0])) == ok == (True, None)
+        tp_left_mult(random_tp(p, 1), p.pairs[0])) == ok == (True, None)
     assert half_derivation_space(p) == space and len(space) == 10
